@@ -27,9 +27,8 @@ use cdp_core::deployment::{
 };
 use cdp_core::presets::{url_spec, SpecScale};
 use cdp_faults::{CrashSite, FaultPlan};
-use cdp_obs::{load_segments, TelemetrySegment};
 use cdp_sampling::SamplingStrategy;
-use cdp_storage::StorageBudget;
+use cdp_storage::{load_segments, StorageBudget, TelemetrySegment};
 
 struct Args {
     crash: bool,

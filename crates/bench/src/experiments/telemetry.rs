@@ -17,9 +17,8 @@ use cdp_core::deployment::{
 };
 use cdp_core::presets::{url_spec, DeploymentSpec, SpecScale};
 use cdp_core::report::{fmt_f, Table};
-use cdp_obs::load_segments;
 use cdp_sampling::SamplingStrategy;
-use cdp_storage::StorageBudget;
+use cdp_storage::{load_segments, StorageBudget};
 
 fn workload(spec: &DeploymentSpec) -> DeploymentConfig {
     let mut config = DeploymentConfig::continuous(

@@ -18,9 +18,9 @@
 //! `to_bits` BE (bit-exact round trips, the determinism contract), strings
 //! and byte blobs as `u32` length + payload. The
 //! [`CheckpointDir`](cdp_storage::checkpoint::CheckpointDir) file layer
-//! adds magic/version/CRC framing and atomic-rename durability around this
-//! payload; a malformed payload decodes to [`StorageError::Corrupt`], never
-//! a panic.
+//! seals this payload as a durable segment (DESIGN.md §18); it is read back
+//! through the shared bounds-checked [`Reader`], so a malformed payload
+//! decodes to [`StorageError::Corrupt`], never a panic.
 
 use std::collections::BTreeMap;
 
@@ -28,6 +28,7 @@ use cdp_faults::FaultStats;
 use cdp_ml::TrainReport;
 use cdp_obs::{Event, HistogramSnapshot, LineageEntry, LineageEventKind, MetricsSnapshot};
 use cdp_pipeline::PipelineCounters;
+use cdp_storage::segment::Reader;
 use cdp_storage::{StorageError, StoreStats, TieredStats};
 
 /// A point-in-time capture of a deployment's dynamic state, taken at a
@@ -213,7 +214,7 @@ impl DeploymentCheckpoint {
     /// trailing-garbage input — never a panic.
     pub fn decode_versioned(version: u16, bytes: &[u8]) -> Result<Self, StorageError> {
         let v3_store_stats = version >= 3;
-        let mut r = Reader { buf: bytes };
+        let mut r = Reader::new(bytes, "checkpoint payload");
         let chunk_idx = r.u64()?;
         let now_secs = r.f64()?;
         let weights = r.f64_vec()?;
@@ -234,9 +235,9 @@ impl DeploymentCheckpoint {
         };
         let eval_count = r.u64()?;
         let eval_acc = r.f64()?;
-        let eval_curve = r.curve()?;
+        let eval_curve = read_curve(&mut r)?;
         let accounted = [r.f64()?, r.f64()?, r.f64()?, r.f64()?];
-        let cost_curve = r.curve()?;
+        let cost_curve = read_curve(&mut r)?;
         let chunks_since_training = r.u64()?;
         let last_training_secs = r.f64()?;
         let last_training_at_secs = r.f64()?;
@@ -558,93 +559,13 @@ fn put_curve(out: &mut Vec<u8>, curve: &[(u64, f64)]) {
     }
 }
 
-// ---- primitive reader ----
-
-/// A bounds-checked cursor over the payload; every read surfaces
-/// truncation as [`StorageError::Corrupt`]. Element counts are never
-/// pre-allocated — a hostile length field just hits end-of-buffer.
-struct Reader<'a> {
-    buf: &'a [u8],
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], StorageError> {
-        if self.buf.len() < n {
-            return Err(StorageError::Corrupt("checkpoint payload truncated".into()));
-        }
-        let (head, rest) = self.buf.split_at(n);
-        self.buf = rest;
-        Ok(head)
+fn read_curve(r: &mut Reader<'_>) -> Result<Vec<(u64, f64)>, StorageError> {
+    let mut out = Vec::new();
+    for _ in 0..r.u32()? {
+        let x = r.u64()?;
+        out.push((x, r.f64()?));
     }
-
-    fn u8(&mut self) -> Result<u8, StorageError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, StorageError> {
-        let b = self.take(4)?;
-        Ok(u32::from_be_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, StorageError> {
-        let b = self.take(8)?;
-        Ok(u64::from_be_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    fn f64(&mut self) -> Result<f64, StorageError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn bytes(&mut self) -> Result<Vec<u8>, StorageError> {
-        let len = self.u32()? as usize;
-        Ok(self.take(len)?.to_vec())
-    }
-
-    fn string(&mut self) -> Result<String, StorageError> {
-        String::from_utf8(self.bytes()?)
-            .map_err(|_| StorageError::Corrupt("checkpoint string is not UTF-8".into()))
-    }
-
-    fn f64_vec(&mut self) -> Result<Vec<f64>, StorageError> {
-        let n = self.u32()?;
-        let mut out = Vec::new();
-        for _ in 0..n {
-            out.push(self.f64()?);
-        }
-        Ok(out)
-    }
-
-    fn u64_vec(&mut self) -> Result<Vec<u64>, StorageError> {
-        let n = self.u32()?;
-        let mut out = Vec::new();
-        for _ in 0..n {
-            out.push(self.u64()?);
-        }
-        Ok(out)
-    }
-
-    fn curve(&mut self) -> Result<Vec<(u64, f64)>, StorageError> {
-        let n = self.u32()?;
-        let mut out = Vec::new();
-        for _ in 0..n {
-            let x = self.u64()?;
-            out.push((x, self.f64()?));
-        }
-        Ok(out)
-    }
-
-    fn finish(&self) -> Result<(), StorageError> {
-        if self.buf.is_empty() {
-            Ok(())
-        } else {
-            Err(StorageError::Corrupt(format!(
-                "checkpoint payload has {} trailing bytes",
-                self.buf.len()
-            )))
-        }
-    }
+    Ok(out)
 }
 
 #[cfg(test)]

@@ -27,15 +27,15 @@ use cdp_faults::{
 use cdp_linalg::DenseVector;
 use cdp_ml::{LinearModel, OptimizerState, SgdTrainer, TrainReport};
 use cdp_obs::{
-    Alert, AlertMonitor, Clock, FlightRecorder, Metrics, MetricsSnapshot, SloMonitor,
-    TelemetryStore, TraceSnapshot, TraceSpan, Tracer, VirtualClock, DEFAULT_SERIES_CAPACITY,
+    Alert, AlertMonitor, Clock, Metrics, MetricsSnapshot, SloMonitor, TelemetryStore,
+    TraceSnapshot, TraceSpan, Tracer, VirtualClock, DEFAULT_SERIES_CAPACITY,
 };
 use cdp_pipeline::drift::{DriftDetector, DriftStatus};
 use cdp_pipeline::PipelineError;
 use cdp_sampling::{mu_uniform, mu_window, SamplingStrategy};
 use cdp_storage::{
-    CheckpointDir, RawChunk, StorageBudget, StorageError, StoreStats, TieredStats, WalDir,
-    WalOptions, WalStats, WalWriter,
+    CheckpointDir, FlightRecorder, RawChunk, StorageBudget, StorageError, StoreStats, TieredStats,
+    WalDir, WalOptions, WalStats, WalWriter,
 };
 use serde::{Deserialize, Serialize};
 
@@ -949,10 +949,7 @@ struct TelemetryRuntime {
 impl TelemetryRuntime {
     fn new(tc: &TelemetryConfig, chunk_period_secs: f64) -> Result<Self, DeploymentError> {
         let recorder = match &tc.recorder {
-            Some(rc) => Some(
-                FlightRecorder::open(&rc.dir, rc.keep)
-                    .map_err(|e| DeploymentError::Storage(StorageError::Io(e)))?,
-            ),
+            Some(rc) => Some(FlightRecorder::open(&rc.dir, rc.keep)?),
             None => None,
         };
         Ok(Self {
@@ -989,8 +986,7 @@ impl TelemetryRuntime {
         self.samples_since_flush += 1;
         if let Some(rec) = self.recorder.as_mut() {
             if self.samples_since_flush >= self.flush_every {
-                rec.flush(&self.store, &self.alerts, at_secs)
-                    .map_err(|e| DeploymentError::Storage(StorageError::Io(e)))?;
+                rec.flush(&self.store, &self.alerts, at_secs)?;
                 self.samples_since_flush = 0;
             }
         }
@@ -1355,8 +1351,7 @@ fn run_chunk_loop(
         }
         if let Some(rec) = tel.recorder.as_mut() {
             if tel.samples_since_flush > 0 {
-                rec.flush(&tel.store, &tel.alerts, at)
-                    .map_err(|e| DeploymentError::Storage(StorageError::Io(e)))?;
+                rec.flush(&tel.store, &tel.alerts, at)?;
                 tel.samples_since_flush = 0;
             }
         }

@@ -38,7 +38,6 @@ mod chrome;
 mod clock;
 mod flame;
 mod lineage;
-mod recorder;
 mod registry;
 mod slo;
 mod snapshot;
@@ -49,11 +48,6 @@ pub use alerts::{Alert, AlertMonitor, AlertOp, AlertRule, AlertSignal};
 pub use chrome::validate_chrome_trace;
 pub use clock::{Clock, VirtualClock, WallClock};
 pub use lineage::{LineageEntry, LineageEventKind, LINEAGE_CAPACITY};
-pub use recorder::{
-    decode_segment, list_segment_files, load_segments, segment_file_name, FlightRecorder,
-    SegmentError, SegmentHistogram, SegmentScan, TelemetrySegment, SEGMENT_EXT, SEGMENT_MAGIC,
-    SEGMENT_VERSION,
-};
 pub use registry::{Counter, Gauge, Histogram, Span, EVENT_LOG_CAPACITY, LATENCY_BOUNDS};
 pub use slo::{BudgetSignal, BurnRule, SloMonitor};
 pub use snapshot::{Event, HistogramSnapshot, MetricsSnapshot};

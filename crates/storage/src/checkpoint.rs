@@ -7,32 +7,19 @@
 //! *into* the payload (model weights, online statistics, scheduler state …)
 //! is assembled by `cdp-core`; this layer treats it as bytes.
 //!
-//! File format (same envelope discipline as the spill codec in
-//! [`crate::disk`]):
-//!
-//! ```text
-//! magic "CDPC" | version u16 | payload bytes | crc32 u32 over everything before it
-//! ```
-//!
-//! Durability protocol per write:
-//!
-//! 1. encode into `ckpt-{seq}.tmp` and `fsync` the file,
-//! 2. atomically `rename` to `ckpt-{seq:012}.cdpk`,
-//! 3. `fsync` the directory so the rename itself is durable,
-//! 4. prune checkpoints beyond the keep budget (oldest first).
-//!
-//! A crash between any two steps leaves either a `.tmp` file (ignored by
-//! recovery) or a complete checkpoint. Recovery scans sequence numbers
-//! newest-first and returns the first file whose magic, version and CRC all
-//! check out — a torn, truncated or bit-rotted latest checkpoint therefore
-//! falls back to its predecessor instead of failing the resume.
+//! Each checkpoint is a durable segment (DESIGN.md §18,
+//! [`crate::segment`]): `ckpt-{seq:012}.cdpk`, magic `CDPC`, the payload as
+//! the envelope body, written atomically and pruned to the keep budget
+//! after every write. Recovery scans sequence numbers newest-first and
+//! returns the first file that opens — a torn, truncated, bit-rotted or
+//! unreadable latest checkpoint falls back to its predecessor instead of
+//! failing the resume.
 
 use std::fs;
-use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::disk::crc32;
+use crate::segment::{Envelope, SegmentDir};
 use crate::{SchemaVersion, StorageError};
 
 const MAGIC: &[u8; 4] = b"CDPC";
@@ -44,8 +31,12 @@ const MAGIC: &[u8; 4] = b"CDPC";
 /// version so the payload decoder can fall through to the old layout.
 pub const CHECKPOINT_SCHEMA: SchemaVersion = SchemaVersion(3);
 
-/// Schema versions this build can read.
-const ACCEPTED_SCHEMAS: [u16; 2] = [1, CHECKPOINT_SCHEMA.0];
+const ENVELOPE: Envelope = Envelope {
+    name: "checkpoint",
+    magic: *MAGIC,
+    version: CHECKPOINT_SCHEMA.0,
+    reads: &[1, CHECKPOINT_SCHEMA.0],
+};
 
 /// Sentinel for "no generation pinned".
 const UNPINNED: u64 = u64::MAX;
@@ -59,7 +50,7 @@ const UNPINNED: u64 = u64::MAX;
 /// pin advances or is released.
 #[derive(Debug)]
 pub struct CheckpointDir {
-    dir: PathBuf,
+    files: SegmentDir,
     keep: usize,
     /// Pinned generation ([`UNPINNED`] = none); interior-mutable so the
     /// write path can stay `&self`.
@@ -73,10 +64,8 @@ impl CheckpointDir {
     /// # Errors
     /// I/O errors creating the directory.
     pub fn open(dir: impl AsRef<Path>, keep: usize) -> Result<Self, StorageError> {
-        let dir = dir.as_ref().to_path_buf();
-        fs::create_dir_all(&dir)?;
         Ok(Self {
-            dir,
+            files: SegmentDir::open(dir, "ckpt-", "cdpk")?,
             keep: keep.max(1),
             pinned: AtomicU64::new(UNPINNED),
         })
@@ -105,7 +94,7 @@ impl CheckpointDir {
 
     /// The directory this store writes into.
     pub fn dir(&self) -> &Path {
-        &self.dir
+        self.files.dir()
     }
 
     /// How many checkpoints are retained.
@@ -113,107 +102,38 @@ impl CheckpointDir {
         self.keep
     }
 
-    fn path_for(&self, seq: u64) -> PathBuf {
-        self.dir.join(format!("ckpt-{seq:012}.cdpk"))
-    }
-
-    fn encode(payload: &[u8]) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(payload.len() + 10);
-        buf.extend_from_slice(MAGIC);
-        buf.extend_from_slice(&CHECKPOINT_SCHEMA.0.to_be_bytes());
-        buf.extend_from_slice(payload);
-        let checksum = crc32(&buf);
-        buf.extend_from_slice(&checksum.to_be_bytes());
-        buf
-    }
-
     fn decode(data: &[u8]) -> Result<(u16, Vec<u8>), StorageError> {
-        if data.len() < 4 + 2 + 4 {
-            return Err(StorageError::Corrupt("truncated checkpoint".into()));
-        }
-        let (body, trailer) = data.split_at(data.len() - 4);
-        let stored = u32::from_be_bytes([trailer[0], trailer[1], trailer[2], trailer[3]]);
-        let actual = crc32(body);
-        if stored != actual {
-            return Err(StorageError::Corrupt(format!(
-                "checkpoint checksum mismatch: stored {stored:#010x}, computed {actual:#010x}"
-            )));
-        }
-        if &body[..4] != MAGIC {
-            return Err(StorageError::Corrupt("bad checkpoint magic".into()));
-        }
-        let version = u16::from_be_bytes([body[4], body[5]]);
-        if !ACCEPTED_SCHEMAS.contains(&version) {
-            return Err(StorageError::VersionMismatch {
-                found: version,
-                expected: CHECKPOINT_SCHEMA.0,
-            });
-        }
-        Ok((version, body[6..].to_vec()))
+        ENVELOPE
+            .open(data)
+            .map(|(version, body)| (version, body.to_vec()))
     }
 
-    /// Durably writes checkpoint `seq` (temp file + fsync + rename + dir
-    /// fsync), prunes past the keep budget, and returns the file size in
-    /// bytes.
+    /// Durably writes checkpoint `seq` — the payload is sealed in place,
+    /// never copied — prunes past the keep budget (sparing the pinned
+    /// generation), and returns the file size in bytes.
     ///
     /// # Errors
     /// I/O errors anywhere in the durability protocol.
     pub fn write(&self, seq: u64, payload: &[u8]) -> Result<u64, StorageError> {
-        let encoded = Self::encode(payload);
-        let path = self.path_for(seq);
-        let tmp = path.with_extension("tmp");
-        {
-            let mut file = fs::File::create(&tmp)?;
-            file.write_all(&encoded)?;
-            file.sync_all()?;
-        }
-        fs::rename(&tmp, &path)?;
-        // Make the rename itself durable: fsync the directory. Some
-        // filesystems reject opening a directory for sync — a durability
-        // downgrade there, not a correctness failure, so ignore that error.
-        if let Ok(d) = fs::File::open(&self.dir) {
-            let _ = d.sync_all();
-        }
-        self.prune()?;
-        Ok(encoded.len() as u64)
+        let bytes = self.files.write(
+            seq,
+            &[&ENVELOPE.header(), payload, &ENVELOPE.trailer(payload)],
+        )?;
+        self.files.prune(self.keep, self.pinned())?;
+        Ok(bytes)
     }
 
-    /// Simulates a crash *during* a checkpoint write: leaves only the temp
-    /// file (never renamed), exactly the on-disk state a real kill at that
-    /// point produces. Used by crash-injection tests.
+    /// Simulates a crash *during* a checkpoint write: leaves only a
+    /// half-written temp file (never renamed), exactly the on-disk state a
+    /// real kill at that point produces. Used by crash-injection tests.
     ///
     /// # Errors
     /// I/O errors writing the temp file.
     pub fn write_torn(&self, seq: u64, payload: &[u8]) -> Result<(), StorageError> {
-        let encoded = Self::encode(payload);
-        let tmp = self.path_for(seq).with_extension("tmp");
-        let mut file = fs::File::create(&tmp)?;
-        // Drop half the bytes too: even if a reader looked at the temp file,
-        // it must be detectably incomplete.
-        file.write_all(&encoded[..encoded.len() / 2])?;
-        Ok(())
-    }
-
-    fn prune(&self) -> Result<(), StorageError> {
-        let pinned = self.pinned();
-        let mut seqs = self.list()?;
-        let mut i = 0;
-        // Oldest-first, but never the pinned generation (a live WAL suffix
-        // may depend on exactly that file for resume) and never the newest
-        // (recovery's first candidate).
-        while seqs.len() > self.keep && i < seqs.len().saturating_sub(1) {
-            if Some(seqs[i]) == pinned {
-                i += 1;
-                continue;
-            }
-            let victim = seqs.remove(i);
-            match fs::remove_file(self.path_for(victim)) {
-                Ok(()) => {}
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                Err(e) => return Err(e.into()),
-            }
-        }
-        Ok(())
+        self.files.write_torn(
+            seq,
+            &[&ENVELOPE.header(), payload, &ENVELOPE.trailer(payload)],
+        )
     }
 
     /// Sequence numbers of all checkpoint files present, oldest first
@@ -223,22 +143,7 @@ impl CheckpointDir {
     /// # Errors
     /// I/O errors reading the directory.
     pub fn list(&self) -> Result<Vec<u64>, StorageError> {
-        let mut seqs = Vec::new();
-        for entry in fs::read_dir(&self.dir)? {
-            let name = entry?.file_name();
-            let Some(name) = name.to_str() else { continue };
-            let Some(stem) = name
-                .strip_prefix("ckpt-")
-                .and_then(|s| s.strip_suffix(".cdpk"))
-            else {
-                continue;
-            };
-            if let Ok(seq) = stem.parse::<u64>() {
-                seqs.push(seq);
-            }
-        }
-        seqs.sort_unstable();
-        Ok(seqs)
+        self.files.list()
     }
 
     /// The newest checkpoint that passes validation, as `(seq, payload)`.
@@ -265,9 +170,8 @@ impl CheckpointDir {
     /// I/O errors reading the directory (individual unreadable files are
     /// skipped, not fatal).
     pub fn latest_valid_versioned(&self) -> Result<Option<(u64, u16, Vec<u8>)>, StorageError> {
-        let seqs = self.list()?;
-        for &seq in seqs.iter().rev() {
-            let Ok(data) = fs::read(self.path_for(seq)) else {
+        for seq in self.files.list()?.into_iter().rev() {
+            let Ok(data) = fs::read(self.files.path(seq)) else {
                 continue;
             };
             if let Ok((version, payload)) = Self::decode(&data) {
@@ -281,6 +185,8 @@ impl CheckpointDir {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::segment::crc32;
+    use std::path::PathBuf;
 
     fn ok<T, E: std::fmt::Debug>(r: Result<T, E>) -> T {
         match r {
@@ -321,6 +227,19 @@ mod tests {
             ok(store.write(seq, &seq.to_be_bytes()));
         }
         assert_eq!(ok(store.list()), vec![3, 4]);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn file_bytes_match_the_golden_encoding() {
+        // Files already on disk must stay readable and new ones identical:
+        // these bytes are the format, not an implementation detail.
+        let dir = temp_dir("golden");
+        let store = ok(CheckpointDir::open(&dir, 3));
+        ok(store.write(7, b"golden-payload"));
+        let mut golden = b"CDPC\x00\x03golden-payload".to_vec();
+        golden.extend_from_slice(&[0xa9, 0xf1, 0x56, 0xb5]);
+        assert_eq!(ok(fs::read(dir.join("ckpt-000000000007.cdpk"))), golden);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -24,12 +24,12 @@
 //! trailer: crc32 u32 over everything before it
 //! ```
 //!
-//! Version 2 (row layout: `n_points u32 | per point: label, vtag, vector`)
-//! added the CRC-32 trailer and is still *read* by this build — the decoder
-//! falls through on the version field — but no longer written. Without the
-//! trailer, a flipped byte inside an `f64` decodes to a structurally valid
-//! but numerically wrong chunk. The checksum turns *every* single-byte
-//! corruption (and any burst ≤ 32 bits) into a typed
+//! That is a durable-segment envelope (DESIGN.md §18, [`crate::segment`])
+//! around the chunk body, one file `chunk-{ts:012}.cdpf` per timestamp,
+//! written atomically. Version 2 (row layout: `n_points u32 | per point:
+//! label, vtag, vector`) is still *read* — the decoder falls through on the
+//! version field — but no longer written. The checksum turns *every*
+//! single-byte corruption (and any burst ≤ 32 bits) into a typed
 //! [`StorageError::Corrupt`], which the tiered store can then recover from
 //! by retrying or re-materializing.
 //!
@@ -39,11 +39,11 @@
 //! both checks a no-op).
 
 use std::fs;
-use std::io::{Read, Write};
-use std::path::{Path, PathBuf};
+use std::io::Read;
+use std::path::Path;
 use std::sync::Arc;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 
 use cdp_faults::{corrupt_byte_index, DiskFault, DiskOp, FaultHook, NoFaults, RetryPolicy};
 use cdp_linalg::{DenseVector, SparseVector, Vector};
@@ -51,25 +51,18 @@ use cdp_obs::Metrics;
 
 use crate::chunk::{FeatureChunk, LabeledPoint, Timestamp};
 use crate::columnar::{ColumnSlab, SlabLayout};
+use crate::segment::{seal, Envelope, Reader, SegmentDir};
 use crate::StorageError;
 
-const MAGIC: &[u8; 4] = b"CDPF";
-const VERSION: u16 = crate::SPILL_SCHEMA.0;
 /// The legacy row-layout schema this build still reads (fall-through).
 const VERSION_V2: u16 = 2;
 
-/// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`).
-pub(crate) fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &byte in data {
-        crc ^= u32::from(byte);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
+const ENVELOPE: Envelope = Envelope {
+    name: "spill file",
+    magic: *b"CDPF",
+    version: crate::SPILL_SCHEMA.0,
+    reads: &[VERSION_V2, crate::SPILL_SCHEMA.0],
+};
 
 /// Writes one row-layout vector (shared by the v3 `rows` fallback and the
 /// legacy v2 writer).
@@ -100,8 +93,7 @@ fn put_vector(buf: &mut BytesMut, v: &Vector) {
 /// columnar payload copied straight out of the backing slab's row range).
 pub fn encode_chunk(chunk: &FeatureChunk) -> Bytes {
     let mut buf = BytesMut::with_capacity(48 + chunk.size_bytes() + chunk.len() * 16);
-    buf.put_slice(MAGIC);
-    buf.put_u16(VERSION);
+    buf.put_slice(&ENVELOPE.header());
     buf.put_u64(chunk.timestamp.0);
     buf.put_u64(chunk.raw_ref.0);
     let slab = chunk.slab();
@@ -157,8 +149,7 @@ pub fn encode_chunk(chunk: &FeatureChunk) -> Bytes {
             }
         }
     }
-    let checksum = crc32(&buf);
-    buf.put_u32(checksum);
+    seal(&mut buf);
     buf.freeze()
 }
 
@@ -166,9 +157,12 @@ pub fn encode_chunk(chunk: &FeatureChunk) -> Bytes {
 /// so compatibility tests can pin the fall-through promise: files written by
 /// a v2 build keep decoding bit-for-bit under the v3 reader.
 pub fn encode_chunk_v2(chunk: &FeatureChunk) -> Bytes {
+    let v2 = Envelope {
+        version: VERSION_V2,
+        ..ENVELOPE
+    };
     let mut buf = BytesMut::with_capacity(32 + chunk.size_bytes() + chunk.len() * 16);
-    buf.put_slice(MAGIC);
-    buf.put_u16(VERSION_V2);
+    buf.put_slice(&v2.header());
     buf.put_u64(chunk.timestamp.0);
     buf.put_u64(chunk.raw_ref.0);
     buf.put_u32(chunk.len() as u32);
@@ -176,169 +170,84 @@ pub fn encode_chunk_v2(chunk: &FeatureChunk) -> Bytes {
         buf.put_f64(row.label());
         put_vector(&mut buf, &row.to_vector());
     }
-    let checksum = crc32(&buf);
-    buf.put_u32(checksum);
+    seal(&mut buf);
     buf.freeze()
 }
 
 /// Decodes a feature chunk from its binary representation.
 ///
 /// # Errors
-/// [`StorageError::Corrupt`] on bad magic, version, tag, truncation, or a
-/// CRC-32 mismatch (any corrupted byte, including inside float payloads).
+/// [`StorageError::Corrupt`] on a CRC-32 mismatch (any corrupted byte,
+/// including inside float payloads), bad magic, tag, truncation or
+/// trailing bytes; [`StorageError::VersionMismatch`] for an intact file of
+/// a foreign schema. Never a panic, whatever the bytes.
 pub fn decode_chunk(data: &[u8]) -> Result<FeatureChunk, StorageError> {
-    // Verify the checksum before interpreting a single field: a corrupt
-    // buffer must never decode, even when the damage lands somewhere
-    // structurally silent (a label, a feature value).
-    if data.len() < 4 {
-        return Err(StorageError::Corrupt("truncated reading checksum".into()));
-    }
-    let (payload, trailer) = data.split_at(data.len() - 4);
-    let stored = u32::from_be_bytes([trailer[0], trailer[1], trailer[2], trailer[3]]);
-    let actual = crc32(payload);
-    if stored != actual {
-        return Err(StorageError::Corrupt(format!(
-            "checksum mismatch: stored {stored:#010x}, computed {actual:#010x}"
-        )));
-    }
-    decode_payload(payload)
-}
-
-/// Bounds check shared by every decode path.
-fn need(data: &[u8], n: usize, what: &str) -> Result<(), StorageError> {
-    if data.remaining() < n {
-        return Err(StorageError::Corrupt(format!("truncated reading {what}")));
-    }
-    Ok(())
+    let (version, body) = ENVELOPE.open(data)?;
+    let mut r = Reader::new(body, "spill file");
+    let timestamp = Timestamp(r.u64()?);
+    let raw_ref = Timestamp(r.u64()?);
+    let chunk = if version == VERSION_V2 {
+        let mut points = Vec::new();
+        for _ in 0..r.u32()? {
+            let label = r.f64()?;
+            points.push(LabeledPoint::new(label, decode_vector(&mut r)?));
+        }
+        FeatureChunk::new(timestamp, raw_ref, points)
+    } else {
+        let slab = Arc::new(decode_slab_v3(&mut r)?);
+        FeatureChunk::from_slab(timestamp, raw_ref, slab)
+    };
+    r.finish()?;
+    Ok(chunk)
 }
 
 /// Decodes one row-layout vector (v2 points and the v3 `rows` fallback).
-fn decode_vector(data: &mut &[u8]) -> Result<Vector, StorageError> {
-    need(data, 1, "vector tag")?;
-    match data.get_u8() {
+fn decode_vector(r: &mut Reader<'_>) -> Result<Vector, StorageError> {
+    match r.u8()? {
         0 => {
-            need(data, 4, "dense dim")?;
-            let dim = data.get_u32() as usize;
-            need(data, dim * 8, "dense values")?;
-            let mut values = Vec::with_capacity(dim);
-            for _ in 0..dim {
-                values.push(data.get_f64());
-            }
-            Ok(Vector::Dense(DenseVector::new(values)))
+            let dim = r.u32()? as usize;
+            Ok(Vector::Dense(DenseVector::new(r.f64s(dim)?)))
         }
         1 => {
-            need(data, 8, "sparse header")?;
-            let dim = data.get_u32() as usize;
-            let nnz = data.get_u32() as usize;
-            need(data, nnz * (4 + 8), "sparse entries")?;
-            let mut indices = Vec::with_capacity(nnz);
-            for _ in 0..nnz {
-                indices.push(data.get_u32());
-            }
-            let mut values = Vec::with_capacity(nnz);
-            for _ in 0..nnz {
-                values.push(data.get_f64());
-            }
-            Ok(Vector::Sparse(
-                SparseVector::new(dim, indices, values)
-                    .map_err(|e| StorageError::Corrupt(format!("invalid sparse vector: {e}")))?,
-            ))
+            let dim = r.u32()? as usize;
+            let nnz = r.u32()? as usize;
+            let indices = r.u32s(nnz)?;
+            let values = r.f64s(nnz)?;
+            SparseVector::new(dim, indices, values)
+                .map(Vector::Sparse)
+                .map_err(|e| StorageError::Corrupt(format!("invalid sparse vector: {e}")))
         }
         other => Err(StorageError::Corrupt(format!("unknown vector tag {other}"))),
     }
 }
 
-/// Decodes the checksummed region of a chunk file, dispatching on the
-/// schema version: v3 (columnar, current) or v2 (row layout, fall-through).
-fn decode_payload(mut data: &[u8]) -> Result<FeatureChunk, StorageError> {
-    need(data, 4 + 2 + 8 + 8, "header")?;
-    let mut magic = [0u8; 4];
-    data.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
-        return Err(StorageError::Corrupt("bad magic".into()));
-    }
-    let version = data.get_u16();
-    let timestamp = Timestamp(data.get_u64());
-    let raw_ref = Timestamp(data.get_u64());
-    match version {
-        VERSION => decode_columnar_v3(data, timestamp, raw_ref),
-        VERSION_V2 => decode_rows_v2(data, timestamp, raw_ref),
-        other => Err(StorageError::VersionMismatch {
-            found: other,
-            expected: VERSION,
-        }),
-    }
-}
-
-/// Decodes a legacy v2 row-layout body.
-fn decode_rows_v2(
-    mut data: &[u8],
-    timestamp: Timestamp,
-    raw_ref: Timestamp,
-) -> Result<FeatureChunk, StorageError> {
-    need(data, 4, "point count")?;
-    let n_points = data.get_u32() as usize;
-    let mut points = Vec::with_capacity(n_points.min(data.remaining() / 9 + 1));
-    for _ in 0..n_points {
-        need(data, 8, "point label")?;
-        let label = data.get_f64();
-        let features = decode_vector(&mut data)?;
-        points.push(LabeledPoint::new(label, features));
-    }
-    if data.remaining() > 0 {
-        return Err(StorageError::Corrupt("trailing bytes after points".into()));
-    }
-    Ok(FeatureChunk::new(timestamp, raw_ref, points))
-}
-
-/// Decodes a v3 columnar body into a slab-backed chunk.
-fn decode_columnar_v3(
-    mut data: &[u8],
-    timestamp: Timestamp,
-    raw_ref: Timestamp,
-) -> Result<FeatureChunk, StorageError> {
-    need(data, 1 + 4, "layout header")?;
-    let tag = data.get_u8();
-    let n = data.get_u32() as usize;
-    let read_labels = |data: &mut &[u8]| -> Result<Vec<f64>, StorageError> {
-        need(data, n * 8, "labels")?;
-        let mut labels = Vec::with_capacity(n);
-        for _ in 0..n {
-            labels.push(data.get_f64());
-        }
-        Ok(labels)
-    };
+/// Decodes a v3 columnar slab.
+fn decode_slab_v3(r: &mut Reader<'_>) -> Result<ColumnSlab, StorageError> {
+    let tag = r.u8()?;
+    let n = r.u32()? as usize;
     let (labels, layout) = match tag {
         0 => {
-            need(data, 4, "dense dim")?;
-            let dim = data.get_u32() as usize;
-            let labels = read_labels(&mut data)?;
-            need(
-                data,
-                n.checked_mul(dim * 8).map_or(usize::MAX, |b| b),
-                "columns",
-            )?;
-            let mut cols = Vec::with_capacity(dim);
-            for _ in 0..dim {
-                let mut col = Vec::with_capacity(n);
-                for _ in 0..n {
-                    col.push(data.get_f64());
+            let dim = r.u32()? as usize;
+            let labels = r.f64s(n)?;
+            // Zero rows carry no column bytes, so `dim` is not bounded by
+            // the file: decode to the canonical empty layout (what
+            // `ColumnSlab::from_points` builds for no rows) instead of
+            // allocating `dim` empty columns.
+            if n == 0 {
+                (labels, SlabLayout::Rows(Vec::new()))
+            } else {
+                let mut cols = Vec::new();
+                for _ in 0..dim {
+                    cols.push(r.f64s(n)?);
                 }
-                cols.push(col);
+                (labels, SlabLayout::Dense { dim, cols })
             }
-            (labels, SlabLayout::Dense { dim, cols })
         }
         1 => {
-            need(data, 4, "csr dim")?;
-            let dim = data.get_u32() as usize;
-            let labels = read_labels(&mut data)?;
-            need(data, (n + 1) * 4, "row pointers")?;
-            let mut row_ptr = Vec::with_capacity(n + 1);
-            for _ in 0..=n {
-                row_ptr.push(data.get_u32());
-            }
-            need(data, 4, "nnz")?;
-            let nnz = data.get_u32() as usize;
+            let dim = r.u32()? as usize;
+            let labels = r.f64s(n)?;
+            let row_ptr = r.u32s(n + 1)?;
+            let nnz = r.u32()? as usize;
             // Structural invariants the rest of the crate relies on for
             // panic-free row access: pointers rebased, monotone, covering.
             if row_ptr[0] != 0
@@ -349,19 +258,11 @@ fn decode_columnar_v3(
                     "inconsistent CSR row pointers".into(),
                 ));
             }
-            need(data, nnz * (4 + 8), "csr entries")?;
-            let mut indices = Vec::with_capacity(nnz);
-            for _ in 0..nnz {
-                indices.push(data.get_u32());
-            }
-            let mut values = Vec::with_capacity(nnz);
-            for _ in 0..nnz {
-                values.push(data.get_f64());
-            }
-            for row in 0..n {
-                let (a, b) = (row_ptr[row] as usize, row_ptr[row + 1] as usize);
-                let row_indices = &indices[a..b];
-                if row_indices.windows(2).any(|w| w[0] >= w[1])
+            let indices = r.u32s(nnz)?;
+            let values = r.f64s(nnz)?;
+            for (row, w) in row_ptr.windows(2).enumerate() {
+                let row_indices = &indices[w[0] as usize..w[1] as usize];
+                if row_indices.windows(2).any(|p| p[0] >= p[1])
                     || row_indices.iter().any(|&i| i as usize >= dim)
                 {
                     return Err(StorageError::Corrupt(format!(
@@ -380,12 +281,11 @@ fn decode_columnar_v3(
             )
         }
         2 => {
-            let mut labels = Vec::with_capacity(n.min(data.remaining() / 9 + 1));
-            let mut rows = Vec::with_capacity(n.min(data.remaining() / 9 + 1));
+            let mut labels = Vec::new();
+            let mut rows = Vec::new();
             for _ in 0..n {
-                need(data, 8, "row label")?;
-                labels.push(data.get_f64());
-                rows.push(decode_vector(&mut data)?);
+                labels.push(r.f64()?);
+                rows.push(decode_vector(r)?);
             }
             (labels, SlabLayout::Rows(rows))
         }
@@ -395,11 +295,7 @@ fn decode_columnar_v3(
             )))
         }
     };
-    if data.remaining() > 0 {
-        return Err(StorageError::Corrupt("trailing bytes after slab".into()));
-    }
-    let slab = Arc::new(ColumnSlab::from_parts(labels, layout));
-    Ok(FeatureChunk::from_slab(timestamp, raw_ref, slab))
+    Ok(ColumnSlab::from_parts(labels, layout))
 }
 
 /// A directory of encoded feature chunks, one file per timestamp.
@@ -410,7 +306,7 @@ fn decode_columnar_v3(
 /// stats) rather than propagating.
 #[derive(Debug)]
 pub struct DiskTier {
-    dir: PathBuf,
+    files: SegmentDir,
     hook: Arc<dyn FaultHook>,
     retry: RetryPolicy,
     /// Observability handle (disabled by default).
@@ -439,10 +335,8 @@ impl DiskTier {
         hook: Arc<dyn FaultHook>,
         retry: RetryPolicy,
     ) -> Result<Self, StorageError> {
-        let dir = dir.as_ref().to_path_buf();
-        fs::create_dir_all(&dir)?;
         Ok(Self {
-            dir,
+            files: SegmentDir::open(dir, "chunk-", "cdpf")?,
             hook,
             retry,
             metrics: Metrics::disabled(),
@@ -461,10 +355,6 @@ impl DiskTier {
     /// resumed deployment swaps its replay hook for the live injector).
     pub fn set_hook(&mut self, hook: Arc<dyn FaultHook>) {
         self.hook = hook;
-    }
-
-    fn path_for(&self, ts: Timestamp) -> PathBuf {
-        self.dir.join(format!("chunk-{:012}.cdpf", ts.0))
     }
 
     fn injected_io_error(op: DiskOp, ts: Timestamp) -> StorageError {
@@ -486,12 +376,11 @@ impl DiskTier {
     pub fn write(&mut self, chunk: &FeatureChunk) -> Result<(), StorageError> {
         let encoded = encode_chunk(chunk);
         let ts = chunk.timestamp;
-        let path = self.path_for(ts);
         let span = self.metrics.span("store.disk_write_secs");
         let mut attempt = 0u32;
         let mut failed = false;
         loop {
-            let result = self.write_attempt(&path, &encoded, ts, attempt);
+            let result = self.write_attempt(&encoded, ts, attempt);
             match result {
                 Ok(()) => {
                     if failed {
@@ -521,7 +410,6 @@ impl DiskTier {
 
     fn write_attempt(
         &self,
-        path: &Path,
         encoded: &[u8],
         ts: Timestamp,
         attempt: u32,
@@ -531,24 +419,7 @@ impl DiskTier {
             DiskFault::Delay(d) => std::thread::sleep(d),
             DiskFault::Proceed | DiskFault::Corrupt => {}
         }
-        // Write to a sibling temp file first, fsync, then rename into place:
-        // a crash mid-write leaves (at worst) an orphaned `.tmp` no reader
-        // looks at, never a truncated chunk file under the real name.
-        // Without the fsync the rename can land before the data does, making
-        // the *named* file torn after a power cut.
-        let tmp = path.with_extension("tmp");
-        let mut file = fs::File::create(&tmp)?;
-        file.write_all(encoded)?;
-        file.sync_all()?;
-        drop(file);
-        fs::rename(&tmp, path)?;
-        // The rename itself must survive a crash too: fsync the parent
-        // directory. Filesystems that refuse to sync a directory handle
-        // downgrade durability, not correctness, so that error is ignored.
-        if let Ok(d) = fs::File::open(&self.dir) {
-            let _ = d.sync_all();
-        }
-        Ok(())
+        self.files.write(ts.0, &[encoded]).map(|_| ())
     }
 
     /// Reads the chunk stored for `ts`, or `Ok(None)` when absent, retrying
@@ -559,7 +430,7 @@ impl DiskTier {
     /// I/O or corruption errors persisting past every retry. "Not found" is
     /// never an error and is never retried.
     pub fn read(&mut self, ts: Timestamp) -> Result<Option<FeatureChunk>, StorageError> {
-        let path = self.path_for(ts);
+        let path = self.files.path(ts.0);
         let span = self.metrics.span("store.disk_read_secs");
         let mut attempt = 0u32;
         let mut failed = false;
@@ -633,11 +504,7 @@ impl DiskTier {
     /// # Errors
     /// I/O errors other than "not found".
     pub fn remove(&mut self, ts: Timestamp) -> Result<(), StorageError> {
-        match fs::remove_file(self.path_for(ts)) {
-            Ok(()) => Ok(()),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
-            Err(e) => Err(e.into()),
-        }
+        self.files.remove(ts.0).map(|_| ())
     }
 
     /// Total bytes written since the tier was opened.
@@ -654,6 +521,7 @@ impl DiskTier {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::segment::crc32;
     use cdp_faults::{FaultInjector, FaultPlan};
     use cdp_linalg::SparseBuilder;
 
@@ -844,6 +712,77 @@ mod tests {
                 expected,
             }) if found == crate::SPILL_SCHEMA.0 + 1 && expected == crate::SPILL_SCHEMA.0
         ));
+    }
+
+    #[test]
+    fn spill_bytes_match_the_golden_encoding() {
+        // (length, CRC-32 of the whole file) per layout: the spill format
+        // is fixed, so these values must never change.
+        let mut b1 = SparseBuilder::new();
+        b1.add(2, 1.0);
+        let mut b2 = SparseBuilder::new();
+        b2.add(0, -3.0);
+        b2.add(7, 2.5);
+        let dense = FeatureChunk::new(
+            Timestamp(1),
+            Timestamp(1),
+            vec![
+                LabeledPoint::new(1.0, DenseVector::new(vec![1.0, -2.0]).into()),
+                LabeledPoint::new(-1.0, DenseVector::new(vec![0.5, 4.0]).into()),
+            ],
+        );
+        let csr = FeatureChunk::new(
+            Timestamp(2),
+            Timestamp(2),
+            vec![
+                LabeledPoint::new(1.0, Vector::Sparse(ok(b1.build(8)))),
+                LabeledPoint::new(0.0, Vector::Sparse(ok(b2.build(8)))),
+            ],
+        );
+        let digest = |b: &[u8]| (b.len(), crc32(b));
+        assert_eq!(digest(&encode_chunk(&dense)), (83, 0xa4b7_a1e1));
+        assert_eq!(digest(&encode_chunk(&csr)), (103, 0xa398_58f2));
+        assert_eq!(digest(&encode_chunk(&sample_chunk())), (109, 0x6309_f0c9));
+        let dir = std::env::temp_dir().join(format!("cdpf-golden-{}", std::process::id()));
+        let mut tier = ok(DiskTier::open(&dir));
+        ok(tier.write(&sample_chunk()));
+        let file = ok(std::fs::read(dir.join("chunk-000000000042.cdpf")));
+        assert_eq!(digest(&file), (109, 0x6309_f0c9));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn zero_row_dense_slab_with_huge_dim_decodes_in_bounded_memory() {
+        // n_rows = 0 carries no column bytes, so dim = u32::MAX passes
+        // every length check; it must not size a buffer from `dim`.
+        let mut buf = BytesMut::with_capacity(32);
+        buf.put_slice(&ENVELOPE.header());
+        buf.put_u64(5);
+        buf.put_u64(5);
+        buf.put_u8(0);
+        buf.put_u32(0);
+        buf.put_u32(u32::MAX);
+        seal(&mut buf);
+        let chunk = ok(decode_chunk(&buf));
+        assert_eq!(chunk.timestamp, Timestamp(5));
+        assert!(chunk.is_empty());
+        // A zero-row dense range view still round-trips as zero rows.
+        let dense = FeatureChunk::new(
+            Timestamp(6),
+            Timestamp(6),
+            vec![LabeledPoint::new(
+                1.0,
+                DenseVector::new(vec![1.0, 2.0]).into(),
+            )],
+        );
+        let empty_view = FeatureChunk::from_slab_range(
+            Timestamp(6),
+            Timestamp(6),
+            Arc::clone(dense.slab()),
+            1,
+            1,
+        );
+        assert_eq!(ok(decode_chunk(&encode_chunk(&empty_view))), empty_view);
     }
 
     #[test]

@@ -15,10 +15,12 @@
 //! in-memory [`store::ChunkStore`] plus an optional binary [`disk::DiskTier`]
 //! play those roles (see DESIGN.md §2 for the substitution argument).
 //!
-//! Both on-disk formats — spill files and deployment checkpoints
-//! ([`checkpoint::CheckpointDir`]) — carry a [`SchemaVersion`] header and a
-//! CRC-32 trailer, are written atomically (temp file + rename), and surface
-//! incompatible versions as the typed
+//! Every durable file of the platform lives here — spill files,
+//! deployment checkpoints ([`checkpoint::CheckpointDir`]), WAL segments and
+//! flight-recorder segments ([`recorder::FlightRecorder`]) — as a record
+//! schema on one durable-segment primitive ([`segment`], DESIGN.md §18):
+//! a [`SchemaVersion`] header and CRC-32 trailer, atomic writes, numbered
+//! files, and incompatible versions surfaced as the typed
 //! [`StorageError::VersionMismatch`] instead of a generic decode error.
 
 #![warn(missing_docs)]
@@ -28,6 +30,8 @@ pub mod chunk;
 pub mod columnar;
 pub mod disk;
 pub mod record;
+pub mod recorder;
+pub mod segment;
 pub mod store;
 pub mod tiered;
 pub mod wal;
@@ -36,6 +40,10 @@ pub use checkpoint::{CheckpointDir, CHECKPOINT_SCHEMA};
 pub use chunk::{ChunkStats, FeatureChunk, LabeledPoint, RawChunk, Timestamp};
 pub use columnar::{ColumnSlab, RowView, SlabLayout};
 pub use record::{Record, Schema, Value};
+pub use recorder::{
+    decode_segment, list_segment_files, load_segments, segment_file_name, FlightRecorder,
+    SegmentHistogram, SegmentScan, TelemetrySegment, SEGMENT_EXT,
+};
 pub use store::{
     ChunkStore, ChunkStoreConfig, ChunkStoreDiffKind, ChunkStoreEvent, FeatureLookup,
     StorageBudget, StoreStats,
@@ -68,9 +76,9 @@ pub enum StorageError {
     DuplicateTimestamp(Timestamp),
     /// A feature chunk referenced a raw chunk that is not in the store.
     DanglingRawReference(Timestamp),
-    /// An I/O failure in the disk tier.
+    /// An I/O failure reading or writing a durable file.
     Io(std::io::Error),
-    /// The disk tier found a corrupt or truncated chunk file.
+    /// A durable file, or the body inside it, is corrupt or truncated.
     Corrupt(String),
     /// No tier holds the chunk: features gone and raw data gone too.
     MissingChunk(Timestamp),
@@ -93,8 +101,8 @@ impl std::fmt::Display for StorageError {
             StorageError::DanglingRawReference(ts) => {
                 write!(f, "feature chunk references missing raw chunk {}", ts.0)
             }
-            StorageError::Io(e) => write!(f, "disk tier I/O error: {e}"),
-            StorageError::Corrupt(msg) => write!(f, "corrupt chunk file: {msg}"),
+            StorageError::Io(e) => write!(f, "storage I/O error: {e}"),
+            StorageError::Corrupt(msg) => write!(f, "corrupt file: {msg}"),
             StorageError::MissingChunk(ts) => {
                 write!(f, "chunk {} is absent from every storage tier", ts.0)
             }

@@ -9,10 +9,10 @@
 //! between checkpoints.
 //!
 //! On-disk layout: numbered append-only **segment files**
-//! (`wal-{first_seq:012}.cdpw`), each opened with the same durability
-//! protocol as [`crate::checkpoint::CheckpointDir`] (header into a `.tmp`,
-//! fsync, rename, directory fsync) and then extended by appending framed
-//! records:
+//! (`wal-{first_seq:012}.cdpw`), each created as a durable segment holding
+//! only its envelope header (DESIGN.md §18, [`crate::segment`]: atomic
+//! write, no file trailer) and then extended by appending framed records
+//! that carry their own CRC-32:
 //!
 //! ```text
 //! segment header: magic "CDPW" | version u16
@@ -46,19 +46,17 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::{BufMut, BytesMut};
 use serde::{Deserialize, Serialize};
 
 use cdp_faults::{DiskFault, FaultHook, RetryPolicy, WalOp};
 use cdp_obs::{Clock, Metrics};
 
 use crate::chunk::{RawChunk, Timestamp};
-use crate::disk::crc32;
 use crate::record::{Record, Value};
+use crate::segment::{crc32, Envelope, Reader, SegmentDir, HEADER_LEN};
 use crate::{SchemaVersion, StorageError};
 
-const MAGIC: &[u8; 4] = b"CDPW";
-const HEADER_LEN: u64 = 6;
 /// Frames larger than this are treated as a torn tail rather than a record
 /// (a corrupted length prefix would otherwise send the scanner far past the
 /// end of any plausible chunk).
@@ -66,6 +64,13 @@ const MAX_FRAME: u32 = 1 << 28;
 
 /// Current schema of WAL segment files.
 pub const WAL_SCHEMA: SchemaVersion = SchemaVersion(1);
+
+const ENVELOPE: Envelope = Envelope {
+    name: "WAL segment",
+    magic: *b"CDPW",
+    version: WAL_SCHEMA.0,
+    reads: &[WAL_SCHEMA.0],
+};
 
 /// Tuning knobs for the WAL writer (storage-level; the deployment-facing
 /// configuration lives in `cdp-core`).
@@ -162,7 +167,7 @@ impl WalRecovery {
 /// Read-side handle on a WAL directory: listing, recovery, truncation.
 #[derive(Debug)]
 pub struct WalDir {
-    dir: PathBuf,
+    files: SegmentDir,
 }
 
 impl WalDir {
@@ -171,18 +176,14 @@ impl WalDir {
     /// # Errors
     /// I/O errors creating the directory.
     pub fn open(dir: impl AsRef<Path>) -> Result<Self, StorageError> {
-        let dir = dir.as_ref().to_path_buf();
-        fs::create_dir_all(&dir)?;
-        Ok(Self { dir })
+        Ok(Self {
+            files: SegmentDir::open(dir, "wal-", "cdpw")?,
+        })
     }
 
     /// The directory this WAL lives in.
     pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    fn path_for(&self, first_seq: u64) -> PathBuf {
-        self.dir.join(format!("wal-{first_seq:012}.cdpw"))
+        self.files.dir()
     }
 
     /// First sequence numbers of all segment files present, sorted
@@ -193,22 +194,7 @@ impl WalDir {
     /// # Errors
     /// I/O errors reading the directory.
     pub fn list(&self) -> Result<Vec<u64>, StorageError> {
-        let mut seqs = Vec::new();
-        for entry in fs::read_dir(&self.dir)? {
-            let name = entry?.file_name();
-            let Some(name) = name.to_str() else { continue };
-            let Some(stem) = name
-                .strip_prefix("wal-")
-                .and_then(|s| s.strip_suffix(".cdpw"))
-            else {
-                continue;
-            };
-            if let Ok(seq) = stem.parse::<u64>() {
-                seqs.push(seq);
-            }
-        }
-        seqs.sort_unstable();
-        Ok(seqs)
+        self.files.list()
     }
 
     /// Scans every segment, truncating torn tails and skipping corrupt
@@ -221,7 +207,7 @@ impl WalDir {
     pub fn recover(&self) -> Result<WalRecovery, StorageError> {
         let mut out = WalRecovery::default();
         for first_seq in self.list()? {
-            let path = self.path_for(first_seq);
+            let path = self.files.path(first_seq);
             let Ok(data) = fs::read(&path) else {
                 out.corrupt += 1;
                 continue;
@@ -242,17 +228,12 @@ impl WalDir {
         data: &[u8],
         out: &mut WalRecovery,
     ) -> Result<(), StorageError> {
-        if data.len() < HEADER_LEN as usize || &data[..4] != MAGIC {
+        if ENVELOPE.open_header(data).is_err() {
             // Unreadable header: the segment never became a segment.
             out.corrupt += 1;
             return Ok(());
         }
-        let version = u16::from_be_bytes([data[4], data[5]]);
-        if version != WAL_SCHEMA.0 {
-            out.corrupt += 1;
-            return Ok(());
-        }
-        let mut offset = HEADER_LEN as usize;
+        let mut offset = HEADER_LEN;
         while offset < data.len() {
             let Some(len_bytes) = data.get(offset..offset + 4) else {
                 // Fewer than 4 bytes of length prefix: torn tail.
@@ -339,7 +320,7 @@ impl WalWriter {
     ) -> Result<Self, StorageError> {
         let dir = WalDir::open(dir)?;
         let mut writer = Self {
-            current: dir.path_for(first_seq),
+            current: dir.files.path(first_seq),
             dir,
             options: WalOptions {
                 fsync_every: options.fsync_every.max(1),
@@ -348,7 +329,7 @@ impl WalWriter {
             hook,
             clock,
             metrics,
-            current_bytes: HEADER_LEN,
+            current_bytes: HEADER_LEN as u64,
             pending: Vec::new(),
             pending_records: 0,
             pending_first_secs: 0.0,
@@ -481,25 +462,10 @@ impl WalWriter {
         Ok(())
     }
 
-    /// Creates `wal-{first_seq}.cdpw` with the checkpoint-dir durability
-    /// protocol: header into a `.tmp`, fsync, rename, directory fsync.
+    /// Durably creates `wal-{first_seq}.cdpw` holding only the header.
     fn create_segment(&mut self, first_seq: u64) -> Result<(), StorageError> {
-        let path = self.dir.path_for(first_seq);
-        let tmp = path.with_extension("tmp");
-        {
-            let mut file = fs::File::create(&tmp)?;
-            file.write_all(MAGIC)?;
-            file.write_all(&WAL_SCHEMA.0.to_be_bytes())?;
-            file.sync_all()?;
-        }
-        fs::rename(&tmp, &path)?;
-        // Make the rename durable; filesystems that refuse directory sync
-        // downgrade durability, not correctness.
-        if let Ok(d) = fs::File::open(self.dir.dir()) {
-            let _ = d.sync_all();
-        }
-        self.current = path;
-        self.current_bytes = HEADER_LEN;
+        self.current_bytes = self.dir.files.write(first_seq, &[&ENVELOPE.header()])?;
+        self.current = self.dir.files.path(first_seq);
         Ok(())
     }
 
@@ -516,13 +482,11 @@ impl WalWriter {
         let mut removed = 0usize;
         for pair in seqs.windows(2) {
             let (first, next_first) = (pair[0], pair[1]);
-            let path = self.dir.path_for(first);
-            if next_first <= covered_seq.saturating_add(1) && path != self.current {
-                match fs::remove_file(&path) {
-                    Ok(()) => removed += 1,
-                    Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                    Err(e) => return Err(e.into()),
-                }
+            if next_first <= covered_seq.saturating_add(1)
+                && self.dir.files.path(first) != self.current
+                && self.dir.files.remove(first)?
+            {
+                removed += 1;
             }
         }
         self.stats.segments_gced += removed as u64;
@@ -556,10 +520,7 @@ impl WalWriter {
     /// I/O errors writing the temp file.
     pub fn crash_rotation(&mut self) -> Result<(), StorageError> {
         let next = self.highest_seq.map_or(0, |s| s + 1);
-        let tmp = self.dir.path_for(next).with_extension("tmp");
-        let mut file = fs::File::create(&tmp)?;
-        file.write_all(MAGIC)?;
-        Ok(())
+        self.dir.files.write_torn(next, &[&ENVELOPE.header()])
     }
 
     /// Retry loop over one WAL fault site; `true` means proceed, `false`
@@ -626,53 +587,23 @@ fn encode_wal_payload(seq: u64, chunk: &RawChunk) -> Vec<u8> {
 }
 
 fn decode_wal_payload(payload: &[u8]) -> Result<(u64, RawChunk), StorageError> {
-    let mut buf = payload;
-    let need = |buf: &[u8], n: usize| -> Result<(), StorageError> {
-        if buf.remaining() < n {
-            Err(StorageError::Corrupt("truncated WAL payload".into()))
-        } else {
-            Ok(())
-        }
-    };
-    need(buf, 20)?;
-    let seq = buf.get_u64();
-    let timestamp = Timestamp(buf.get_u64());
-    let n_records = buf.get_u32() as usize;
-    let mut records = Vec::with_capacity(n_records.min(1 << 16));
-    for _ in 0..n_records {
-        need(buf, 4)?;
-        let n_values = buf.get_u32() as usize;
-        let mut values = Vec::with_capacity(n_values.min(1 << 16));
-        for _ in 0..n_values {
-            need(buf, 1)?;
-            match buf.get_u8() {
-                0 => {
-                    need(buf, 8)?;
-                    values.push(Value::Num(buf.get_f64()));
-                }
-                1 => {
-                    need(buf, 4)?;
-                    let len = buf.get_u32() as usize;
-                    need(buf, len)?;
-                    let mut bytes = vec![0u8; len];
-                    buf.copy_to_slice(&mut bytes);
-                    let text = String::from_utf8(bytes)
-                        .map_err(|_| StorageError::Corrupt("non-UTF-8 WAL text".into()))?;
-                    values.push(Value::Text(text));
-                }
-                2 => values.push(Value::Missing),
-                tag => {
-                    return Err(StorageError::Corrupt(format!(
-                        "unknown WAL value tag {tag}"
-                    )))
-                }
-            }
+    let mut r = Reader::new(payload, "WAL payload");
+    let seq = r.u64()?;
+    let timestamp = Timestamp(r.u64()?);
+    let mut records = Vec::new();
+    for _ in 0..r.u32()? {
+        let mut values = Vec::new();
+        for _ in 0..r.u32()? {
+            values.push(match r.u8()? {
+                0 => Value::Num(r.f64()?),
+                1 => Value::Text(r.string()?),
+                2 => Value::Missing,
+                tag => return Err(r.corrupt(&format!("has unknown value tag {tag}"))),
+            });
         }
         records.push(Record::new(values));
     }
-    if buf.remaining() > 0 {
-        return Err(StorageError::Corrupt("trailing WAL payload bytes".into()));
-    }
+    r.finish()?;
     Ok((seq, RawChunk::new(timestamp, records)))
 }
 
@@ -739,6 +670,29 @@ mod tests {
         let (seq, decoded) = ok(decode_wal_payload(&payload));
         assert_eq!(seq, 7);
         assert_eq!(decoded, c);
+    }
+
+    #[test]
+    fn segment_bytes_match_the_golden_encoding() {
+        // (length, CRC-32 of the whole file): the WAL format is fixed, so
+        // these values must never change.
+        let dir = temp_dir("golden");
+        let mut w = writer(&dir, 1);
+        for s in 0..2u64 {
+            let c = RawChunk::new(
+                Timestamp(s),
+                vec![Record::new(vec![
+                    Value::Num(s as f64),
+                    Value::Text(format!("tok-{s}")),
+                    Value::Missing,
+                ])],
+            );
+            ok(w.append(s, &c));
+        }
+        ok(w.flush());
+        let bytes = ok(fs::read(dir.join("wal-000000000000.cdpw")));
+        assert_eq!((bytes.len(), crc32(&bytes)), (110, 0xf71d_8b93));
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -83,10 +83,11 @@ pub mod prelude {
     pub use cdp_faults::{CrashSite, FaultPlan, FaultStats};
     pub use cdp_ml::{LossKind, OptimizerKind, Regularizer, SgdConfig};
     pub use cdp_obs::{
-        load_segments, Alert, AlertMonitor, BurnRule, FlightRecorder, LineageEventKind, Metrics,
-        MetricsSnapshot, SloMonitor, TelemetrySegment, TelemetryStore, TraceSnapshot, Tracer,
-        VirtualClock, WallClock,
+        Alert, AlertMonitor, BurnRule, LineageEventKind, Metrics, MetricsSnapshot, SloMonitor,
+        TelemetryStore, TraceSnapshot, Tracer, VirtualClock, WallClock,
     };
     pub use cdp_sampling::SamplingStrategy;
-    pub use cdp_storage::{StorageBudget, WalStats};
+    pub use cdp_storage::{
+        load_segments, FlightRecorder, StorageBudget, TelemetrySegment, WalStats,
+    };
 }

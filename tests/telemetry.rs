@@ -12,8 +12,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use cdpipe::engine::ExecutionEngine;
-use cdpipe::obs::{list_segment_files, segment_file_name, SEGMENT_EXT};
 use cdpipe::prelude::*;
+use cdpipe::storage::{list_segment_files, segment_file_name, SEGMENT_EXT};
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 
