@@ -10,9 +10,22 @@ use serde::{Deserialize, Serialize};
 use crate::LinalgError;
 
 /// A dense vector of `f64` values.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Default, Serialize, Deserialize)]
 pub struct DenseVector {
     values: Vec<f64>,
+}
+
+impl Clone for DenseVector {
+    fn clone(&self) -> Self {
+        Self {
+            values: self.values.clone(),
+        }
+    }
+
+    /// Reuses `self`'s allocation when it is large enough.
+    fn clone_from(&mut self, source: &Self) {
+        self.values.clone_from(&source.values);
+    }
 }
 
 impl DenseVector {
@@ -181,17 +194,6 @@ impl DenseVector {
         if dim > self.values.len() {
             self.values.resize(dim, 0.0);
         }
-    }
-
-    /// Resets the vector to an all-zero vector of exactly `dim` coordinates,
-    /// reusing the existing allocation when it is large enough.
-    ///
-    /// This is the scratch-pool primitive: a recycled gradient buffer must be
-    /// indistinguishable from `DenseVector::zeros(dim)` — same dimension,
-    /// same bits — so that buffer reuse can never perturb a result.
-    pub fn reset(&mut self, dim: usize) {
-        self.values.clear();
-        self.values.resize(dim, 0.0);
     }
 }
 

@@ -28,6 +28,7 @@
 
 #![warn(missing_docs)]
 
+mod accumulator;
 pub mod cluster;
 pub mod factorization;
 pub mod loss;

@@ -12,6 +12,8 @@ use serde::{Deserialize, Serialize};
 
 use cdp_linalg::DenseVector;
 
+use crate::regularizer::{l1_subgradient, Regularizer};
+
 /// The learning-rate adaptation technique and its hyperparameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum OptimizerKind {
@@ -180,33 +182,59 @@ impl OptimizerState {
             acc2,
         }
     }
-}
 
-impl AdaptiveRate for OptimizerState {
-    fn apply(&mut self, weights: &mut DenseVector, grad: &DenseVector) {
-        self.grow_to(grad.dim());
-        debug_assert!(weights.dim() >= grad.dim());
+    /// One fused update: for every coordinate, `g = grad[i]·scale` plus the
+    /// regularizer's (sub)gradient at `w[i]`, then this optimizer's update
+    /// of `w[i]` — the same IEEE operations per coordinate as scaling
+    /// `grad`, adding [`Regularizer::add_gradient`] and calling
+    /// [`AdaptiveRate::apply`] in three dense passes. Covers the coordinates
+    /// `weights` and `grad` share.
+    pub fn apply_regularized(
+        &mut self,
+        weights: &mut DenseVector,
+        grad: &DenseVector,
+        scale: f64,
+        regularizer: Regularizer,
+    ) {
+        // Matching here, outside the loops, leaves every monomorphized loop
+        // body branch-free so it vectorizes.
+        match regularizer {
+            Regularizer::None => self.update(weights, grad, |g, _| g * scale),
+            Regularizer::L2(lambda) => self.update(weights, grad, |g, w| g * scale + lambda * w),
+            Regularizer::L1(lambda) => {
+                self.update(weights, grad, |g, w| g * scale + l1_subgradient(lambda, w))
+            }
+        }
+    }
+
+    /// One update `w ← w − Δ(g)` with `g = grad_at(grad[i], w[i])`.
+    fn update(
+        &mut self,
+        weights: &mut DenseVector,
+        grad: &DenseVector,
+        grad_at: impl Fn(f64, f64) -> f64,
+    ) {
+        let n = weights.dim().min(grad.dim());
+        self.grow_to(n);
         self.t += 1;
-        let n = grad.dim();
-        let g = grad.as_slice();
-        let w = weights.as_mut_slice();
+        let w = weights.as_mut_slice().iter_mut();
+        let coords = w.zip(grad.as_slice());
         match self.kind {
             OptimizerKind::Constant { eta } => {
-                for i in 0..n {
-                    w[i] -= eta * g[i];
+                for (w, &g) in coords {
+                    *w -= eta * grad_at(g, *w);
                 }
             }
             OptimizerKind::InvScaling { eta0, power } => {
                 let eta = eta0 / (self.t as f64).powf(power);
-                for i in 0..n {
-                    w[i] -= eta * g[i];
+                for (w, &g) in coords {
+                    *w -= eta * grad_at(g, *w);
                 }
             }
             OptimizerKind::Momentum { eta, gamma } => {
-                let u = self.acc1.as_mut_slice();
-                for i in 0..n {
-                    u[i] = gamma * u[i] + eta * g[i];
-                    w[i] -= u[i];
+                for ((w, &g), u) in coords.zip(self.acc1.as_mut_slice()) {
+                    *u = gamma * *u + eta * grad_at(g, *w);
+                    *w -= *u;
                 }
             }
             OptimizerKind::Adam {
@@ -217,34 +245,40 @@ impl AdaptiveRate for OptimizerState {
             } => {
                 let bias1 = 1.0 - beta1.powi(self.t as i32);
                 let bias2 = 1.0 - beta2.powi(self.t as i32);
-                let m = self.acc1.as_mut_slice();
-                let v = self.acc2.as_mut_slice();
-                for i in 0..n {
-                    m[i] = beta1 * m[i] + (1.0 - beta1) * g[i];
-                    v[i] = beta2 * v[i] + (1.0 - beta2) * g[i] * g[i];
-                    let m_hat = m[i] / bias1;
-                    let v_hat = v[i] / bias2;
-                    w[i] -= eta * m_hat / (v_hat.sqrt() + eps);
+                let moments = self.acc1.as_mut_slice().iter_mut();
+                for ((w, &g), (m, v)) in coords.zip(moments.zip(self.acc2.as_mut_slice())) {
+                    let g = grad_at(g, *w);
+                    *m = beta1 * *m + (1.0 - beta1) * g;
+                    *v = beta2 * *v + (1.0 - beta2) * g * g;
+                    let m_hat = *m / bias1;
+                    let v_hat = *v / bias2;
+                    *w -= eta * m_hat / (v_hat.sqrt() + eps);
                 }
             }
             OptimizerKind::RmsProp { eta, decay, eps } => {
-                let v = self.acc1.as_mut_slice();
-                for i in 0..n {
-                    v[i] = decay * v[i] + (1.0 - decay) * g[i] * g[i];
-                    w[i] -= eta * g[i] / (v[i].sqrt() + eps);
+                for ((w, &g), v) in coords.zip(self.acc1.as_mut_slice()) {
+                    let g = grad_at(g, *w);
+                    *v = decay * *v + (1.0 - decay) * g * g;
+                    *w -= eta * g / (v.sqrt() + eps);
                 }
             }
             OptimizerKind::AdaDelta { decay, eps } => {
-                let eg2 = self.acc1.as_mut_slice();
-                let ed2 = self.acc2.as_mut_slice();
-                for i in 0..n {
-                    eg2[i] = decay * eg2[i] + (1.0 - decay) * g[i] * g[i];
-                    let delta = -((ed2[i] + eps).sqrt() / (eg2[i] + eps).sqrt()) * g[i];
-                    ed2[i] = decay * ed2[i] + (1.0 - decay) * delta * delta;
-                    w[i] += delta;
+                let averages = self.acc1.as_mut_slice().iter_mut();
+                for ((w, &g), (eg2, ed2)) in coords.zip(averages.zip(self.acc2.as_mut_slice())) {
+                    let g = grad_at(g, *w);
+                    *eg2 = decay * *eg2 + (1.0 - decay) * g * g;
+                    let delta = -((*ed2 + eps).sqrt() / (*eg2 + eps).sqrt()) * g;
+                    *ed2 = decay * *ed2 + (1.0 - decay) * delta * delta;
+                    *w += delta;
                 }
             }
         }
+    }
+}
+
+impl AdaptiveRate for OptimizerState {
+    fn apply(&mut self, weights: &mut DenseVector, grad: &DenseVector) {
+        self.update(weights, grad, |g, _| g);
     }
 
     fn grow_to(&mut self, dim: usize) {

@@ -30,19 +30,21 @@ impl Regularizer {
         }
     }
 
-    /// Adds the penalty's (sub)gradient to `grad` in place.
+    /// Adds the penalty's (sub)gradient to `grad` in place, over the
+    /// coordinates both vectors cover. Training fuses the same terms into
+    /// the optimizer pass ([`crate::OptimizerState::apply_regularized`]).
     pub fn add_gradient(&self, w: &DenseVector, grad: &mut DenseVector) {
-        match self {
+        let pairs = grad.as_mut_slice().iter_mut().zip(w.as_slice());
+        match *self {
             Regularizer::None => {}
             Regularizer::L2(lambda) => {
-                grad.axpy(*lambda, w)
-                    .expect("regularizer dims match weights");
+                for (g, &wi) in pairs {
+                    *g += lambda * wi;
+                }
             }
             Regularizer::L1(lambda) => {
-                let ws = w.as_slice();
-                let gs = grad.as_mut_slice();
-                for (g, &wi) in gs.iter_mut().zip(ws) {
-                    *g += lambda * wi.signum() * f64::from(wi != 0.0);
+                for (g, &wi) in pairs {
+                    *g += l1_subgradient(lambda, wi);
                 }
             }
         }
@@ -55,6 +57,12 @@ impl Regularizer {
             Regularizer::L2(l) | Regularizer::L1(l) => *l,
         }
     }
+}
+
+/// `λ·sign(w)`, with a zero subgradient at `w = 0`.
+#[inline]
+pub(crate) fn l1_subgradient(lambda: f64, w: f64) -> f64 {
+    lambda * w.signum() * f64::from(w != 0.0)
 }
 
 #[cfg(test)]

@@ -8,9 +8,6 @@
 //! steps at arbitrary times (online updates and proactive training
 //! interleaved) and the sequence is still a valid SGD trajectory (§3.3).
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
-
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -22,6 +19,7 @@ use cdp_linalg::DenseVector;
 use cdp_obs::{Metrics, SpanContext, Tracer};
 use cdp_storage::{LabeledPoint, RowView};
 
+use crate::accumulator::{GradRun, GradScratch};
 use crate::loss::{Loss, LossKind};
 use crate::model::LinearModel;
 use crate::optimizer::{AdaptiveRate, OptimizerKind, OptimizerState};
@@ -44,77 +42,6 @@ const MAX_GRAD_SHARDS: usize = 8;
 /// the shards.
 fn gradient_shards(n: usize) -> usize {
     (n / GRAD_SHARD_MIN_POINTS).clamp(1, MAX_GRAD_SHARDS)
-}
-
-/// A pool of recycled partial-gradient buffers shared by the sharded and
-/// fused training paths, so steady-state steps allocate no per-shard
-/// gradient vectors.
-///
-/// Reuse can never perturb a result: [`GradScratch::acquire`] hands out a
-/// buffer [`DenseVector::reset`] to exactly `zeros(dim)`, so a recycled
-/// buffer is bit-indistinguishable from a fresh one and pop order is
-/// irrelevant. The reuse/alloc split *is* timing-dependent (two workers may
-/// both find the pool empty), which is why it surfaces through
-/// observability as histogram samples, not deterministic counters.
-#[derive(Debug, Default)]
-struct GradScratch {
-    pool: Mutex<Vec<DenseVector>>,
-    reused: AtomicU64,
-    allocated: AtomicU64,
-}
-
-impl GradScratch {
-    /// A zeroed gradient buffer of exactly `dim` coordinates, recycled when
-    /// the pool has one.
-    fn acquire(&self, dim: usize) -> DenseVector {
-        let recycled = self
-            .pool
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .pop();
-        match recycled {
-            Some(mut buf) => {
-                self.reused.fetch_add(1, Ordering::Relaxed);
-                buf.reset(dim);
-                buf
-            }
-            None => {
-                self.allocated.fetch_add(1, Ordering::Relaxed);
-                DenseVector::zeros(dim)
-            }
-        }
-    }
-
-    /// Returns a buffer to the pool for a later step to reuse.
-    fn release(&self, buf: DenseVector) {
-        self.pool
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(buf);
-    }
-
-    /// Cumulative `(reused, allocated)` acquisition counts.
-    fn counters(&self) -> (u64, u64) {
-        (
-            self.reused.load(Ordering::Relaxed),
-            self.allocated.load(Ordering::Relaxed),
-        )
-    }
-}
-
-/// Scratch state is transient by definition: clones and deserialized
-/// trainers start with an empty pool, and pool contents never participate
-/// in trainer equality (they are invisible to results).
-impl Clone for GradScratch {
-    fn clone(&self) -> Self {
-        Self::default()
-    }
-}
-
-impl PartialEq for GradScratch {
-    fn eq(&self, _: &Self) -> bool {
-        true
-    }
 }
 
 /// When to stop a multi-epoch `fit`.
@@ -190,10 +117,12 @@ pub struct SgdTrainer {
     model: LinearModel,
     optimizer: OptimizerState,
     regularizer: Regularizer,
-    /// Scratch gradient buffer, reused across steps.
+    /// Dense staging buffer for the fused optimizer pass, grown to the model
+    /// before each use. All zeros between steps: each step scatters its
+    /// gradient run in and clears exactly those coordinates afterwards.
     #[serde(skip)]
     grad: DenseVector,
-    /// Recycled partial-gradient buffers for sharded and fused steps.
+    /// Recycled per-source gradient runs for every stepping path.
     #[serde(skip)]
     scratch: GradScratch,
     /// Total training examples consumed (for cost accounting).
@@ -209,6 +138,54 @@ pub struct FusedStepOutcome {
     pub loss: Option<f64>,
     /// Training points consumed by the step.
     pub points: u64,
+}
+
+/// One source's share of a step — an online batch, a gradient shard or a
+/// proactive chunk: its gradient run, data-loss sum and point count.
+struct SourceGrad {
+    run: GradRun,
+    loss_sum: f64,
+    points: u64,
+}
+
+impl SourceGrad {
+    fn new(run: GradRun) -> Self {
+        Self {
+            run,
+            loss_sum: 0.0,
+            points: 0,
+        }
+    }
+
+    /// Folds one row in: its loss at the (pre-update) model, and
+    /// `scale · ∂loss/∂z · row` into the gradient run.
+    fn add(&mut self, model: &LinearModel, row: RowView<'_>, scale: f64) {
+        let loss = model.loss();
+        let z = row.dot_padded(model.weights());
+        self.loss_sum += loss.value(z, row.label());
+        let coeff = loss.dloss_dz(z, row.label()) * scale;
+        if coeff != 0.0 {
+            self.run.push_row(coeff, &row);
+        }
+        self.points += 1;
+    }
+
+    fn finish(mut self) -> Self {
+        self.run.canonicalize();
+        self
+    }
+
+    /// Combines sources with the fixed-shape [`tree_reduce`], keyed by
+    /// source order alone, recycling every absorbed run.
+    fn reduce(parts: Vec<Self>, scratch: &GradScratch) -> Option<Self> {
+        tree_reduce(parts, |mut left, right| {
+            left.run.merge(&right.run);
+            scratch.release(right.run);
+            left.loss_sum += right.loss_sum;
+            left.points += right.points;
+            left
+        })
+    }
 }
 
 impl SgdTrainer {
@@ -299,10 +276,11 @@ impl SgdTrainer {
     /// computing the gradient on `engine`.
     ///
     /// Large batches are split into [`gradient_shards`] contiguous shards
-    /// whose partial gradients are combined with a fixed-shape
+    /// whose sparse partial gradients are combined with a fixed-shape
     /// [`tree_reduce`]; because the shard structure depends only on the
     /// batch size, every engine produces bit-identical weights. Small
-    /// batches (the online path) accumulate in place with no sharding.
+    /// batches (the online path) accumulate one run inline with no sharding.
+    /// Either way the update itself is one fused regularizer+optimizer pass.
     ///
     /// Returns the mean data loss of the batch *before* the update, or
     /// `None` for an empty batch (no update is performed).
@@ -340,11 +318,11 @@ impl SgdTrainer {
     }
 
     /// One mini-batch SGD iteration over zero-copy columnar row views — the
-    /// allocation-free twin of [`SgdTrainer::step_on`]. The model and the
-    /// gradient buffer are grown to the widest row *before* any arithmetic,
-    /// after which the padded row operations ([`RowView::dot_padded`],
-    /// [`RowView::axpy_into_growing`]) are bit-identical to the exact-width
-    /// row-layout operations they replaced.
+    /// allocation-free twin of [`SgdTrainer::step_on`]. The model is grown
+    /// to the widest row *before* any arithmetic, after which the padded row
+    /// operations ([`RowView::dot_padded`], [`RowView::for_each_touched`])
+    /// are bit-identical to the exact-width row-layout operations they
+    /// replaced.
     pub fn step_rows(&mut self, batch: &[RowView<'_>], engine: ExecutionEngine) -> Option<f64> {
         self.step_rows_traced(
             batch,
@@ -375,26 +353,14 @@ impl SgdTrainer {
         if max_dim > self.model.dim() {
             self.model.grow_to(max_dim);
         }
-        let dim = self.model.dim();
-
-        let loss = self.model.loss();
         let inv_batch = 1.0 / batch.len() as f64;
         let shards = gradient_shards(batch.len());
-        let total_loss = if shards == 1 {
-            self.grad.grow_to(dim);
-            self.grad.scale(0.0);
-            let mut sum = 0.0;
+        let source = if shards == 1 {
+            let mut source = SourceGrad::new(self.scratch.acquire());
             for row in batch {
-                let z = row.dot_padded(self.model.weights());
-                sum += loss.value(z, row.label());
-                let coeff = loss.dloss_dz(z, row.label()) * inv_batch;
-                if coeff != 0.0 {
-                    // Cannot actually grow: the buffer already covers the
-                    // widest row in the batch.
-                    row.axpy_into_growing(coeff, &mut self.grad);
-                }
+                source.add(&self.model, *row, inv_batch);
             }
-            sum
+            source.finish()
         } else {
             let step_span = tracer.child_of("trainer.step", parent);
             let shard_len = batch.len().div_ceil(shards);
@@ -402,50 +368,31 @@ impl SgdTrainer {
             let scratch = &self.scratch;
             // Shards borrow contiguous ranges of the batch directly — no
             // per-shard `Vec` of point refs — and accumulate into recycled
-            // scratch buffers rather than freshly allocated ones.
+            // scratch runs rather than freshly allocated ones.
             let parts = engine.map_parts_traced(
                 batch,
                 shard_len,
                 |shard: &[RowView<'_>]| {
-                    let mut grad = scratch.acquire(dim);
-                    let mut loss_sum = 0.0;
+                    let mut source = SourceGrad::new(scratch.acquire());
                     for row in shard {
-                        let z = row.dot_padded(model.weights());
-                        loss_sum += loss.value(z, row.label());
-                        let coeff = loss.dloss_dz(z, row.label()) * inv_batch;
-                        if coeff != 0.0 {
-                            row.axpy_into_growing(coeff, &mut grad);
-                        }
+                        source.add(model, *row, inv_batch);
                     }
-                    (grad, loss_sum)
+                    source.finish()
                 },
                 metrics,
                 tracer,
                 step_span.context(),
             );
-            let reduced = tree_reduce(parts, |(mut ga, la), (gb, lb)| {
-                if let Err(e) = ga.axpy(1.0, &gb) {
-                    // Infallible: every shard acquires a buffer of exactly
-                    // `dim` coordinates and no row in the batch is wider.
-                    unreachable!("shard gradients share the model dimension: {e}");
-                }
-                scratch.release(gb);
-                (ga, la + lb)
-            });
-            let (grad, sum) = match reduced {
-                Some(part) => part,
+            match SourceGrad::reduce(parts, scratch) {
+                Some(source) => source,
                 // Infallible: a non-empty batch yields at least one shard.
                 None => unreachable!("at least one shard for a non-empty batch"),
-            };
-            let retired = std::mem::replace(&mut self.grad, grad);
-            self.scratch.release(retired);
-            sum
+            }
         };
-        self.regularizer
-            .add_gradient(self.model.weights(), &mut self.grad);
-        self.optimizer.apply(self.model.weights_mut(), &self.grad);
+        // Every coefficient already carries the `1/batch` mean.
+        self.apply_run(source.run, 1.0);
         self.points_seen += batch.len() as u64;
-        Some(total_loss * inv_batch)
+        Some(source.loss_sum * inv_batch)
     }
 
     /// Consumes a stream chunk once, in mini-batches of `batch_size` — the
@@ -567,23 +514,27 @@ impl SgdTrainer {
         let mut indices: Vec<usize> = (0..data.len()).collect();
         let mut converged = false;
         let mut epochs = 0;
+        // One snapshot buffer serves every epoch: a fresh clone per epoch
+        // would allocate (and page-fault) a model-sized vector each time.
+        let mut weights_before = DenseVector::default();
         for _ in 0..config.convergence.max_epochs {
             epochs += 1;
-            let weights_before = self.model.weights().clone();
+            weights_before.clone_from(self.model.weights());
             indices.shuffle(&mut rng);
             for batch_idx in indices.chunks(config.batch_size.max(1)) {
                 let batch = batch_idx.iter().map(|&i| &data[i]);
                 self.step_on_traced(batch, engine, metrics, tracer, fit_ctx);
             }
-            let weights_after = self.model.weights();
-            let mut delta = weights_after.clone();
-            if let Err(e) = delta.axpy(-1.0, &weights_before) {
+            // `‖after − before‖` without materializing the difference; the
+            // same IEEE operations as `after + (−1)·before`, then the norm.
+            let change = match self.model.weights().distance_sq(&weights_before) {
+                Ok(sq) => sq.sqrt(),
                 // Infallible: both snapshots come from the same model, whose
                 // dimension only grew before the epoch started.
-                unreachable!("epoch weight snapshots share a dimension: {e}");
-            }
+                Err(e) => unreachable!("epoch weight snapshots share a dimension: {e}"),
+            };
             let denom = weights_before.norm_l2().max(1e-12);
-            if delta.norm_l2() / denom < config.convergence.tolerance {
+            if change / denom < config.convergence.tolerance {
                 converged = true;
                 break;
             }
@@ -663,19 +614,18 @@ impl SgdTrainer {
     /// source order — as zero-copy [`RowView`]s, so already-materialized
     /// columnar chunks stream without reconstructing points while freshly
     /// transformed points wrap in [`RowView::Point`]. The engine task for
-    /// source `i` folds each streamed row straight into a recycled scratch
-    /// gradient — no intermediate `FeatureChunk` or per-shard point buffer
-    /// is ever materialized.
+    /// source `i` folds each streamed row straight into a recycled sparse
+    /// gradient run — no intermediate `FeatureChunk`, per-shard point
+    /// buffer or dense per-source gradient is ever materialized.
     ///
-    /// Determinism: per-source gradients accumulate *unscaled* loss
-    /// derivatives (the total point count is only known after all sources
-    /// ran), are combined with a fixed-shape [`tree_reduce`] keyed by source
-    /// index, and the summed gradient is scaled by `1/points` once at the
-    /// end. Rows wider than the model use [`LinearModel::margin_padded`] /
-    /// [`cdp_linalg::Vector::axpy_into_growing`] so parallel tasks never
-    /// mutate the shared model; it grows only after the reduce. The result
-    /// therefore depends on the source contents and order alone — never on
-    /// worker count or steal schedule.
+    /// Determinism: per-source runs accumulate *unscaled* loss derivatives
+    /// (the total point count is only known after all sources ran), are
+    /// combined with a fixed-shape [`tree_reduce`] keyed by source index,
+    /// and the fused optimizer pass scales the sum by `1/points`. Rows wider
+    /// than the model use [`RowView::dot_padded`] and record their width in
+    /// the run, so parallel tasks never mutate the shared model; it grows
+    /// only after the reduce. The result therefore depends on the source
+    /// contents and order alone — never on worker count or steal schedule.
     ///
     /// # Errors
     /// Propagates [`EngineError`] when `hook` injects a fatal worker panic
@@ -702,85 +652,62 @@ impl SgdTrainer {
             });
         }
         let step_span = tracer.child_of("trainer.step", parent);
-        let dim = self.model.dim();
-        let loss = self.model.loss();
         let model = &self.model;
         let scratch = &self.scratch;
         let parts = engine.try_map_indexed_with_hook_traced(
             n_sources,
             |i| {
-                let mut grad = scratch.acquire(dim);
-                let mut loss_sum = 0.0;
-                let mut points = 0u64;
-                access(i, &mut |row: RowView<'_>| {
-                    let z = row.dot_padded(model.weights());
-                    loss_sum += loss.value(z, row.label());
-                    let coeff = loss.dloss_dz(z, row.label());
-                    if coeff != 0.0 {
-                        row.axpy_into_growing(coeff, &mut grad);
-                    }
-                    points += 1;
-                });
-                (grad, loss_sum, points)
+                let mut source = SourceGrad::new(scratch.acquire());
+                access(i, &mut |row: RowView<'_>| source.add(model, row, 1.0));
+                source.finish()
             },
             hook,
             metrics,
             tracer,
             step_span.context(),
         )?;
-        let reduced = tree_reduce(parts, |(mut ga, la, na), (gb, lb, nb)| {
-            // Sources grow their gradients independently (sparse rows may
-            // reach different widths); zero-pad to a common dimension before
-            // the exact-dimension axpy.
-            let width = ga.dim().max(gb.dim());
-            ga.grow_to(width);
-            let mut gb = gb;
-            gb.grow_to(width);
-            if let Err(e) = ga.axpy(1.0, &gb) {
-                // Infallible: both sides were just padded to `width`.
-                unreachable!("source gradients padded to a common dimension: {e}");
-            }
-            scratch.release(gb);
-            (ga, la + lb, na + nb)
-        });
-        let (grad, loss_sum, points) = match reduced {
-            Some(part) => part,
+        let source = match SourceGrad::reduce(parts, scratch) {
+            Some(source) => source,
             // Infallible: `n_sources == 0` returned early above.
             None => unreachable!("at least one source"),
         };
-        if points == 0 {
-            self.scratch.release(grad);
+        if source.points == 0 {
+            self.scratch.release(source.run);
             return Ok(FusedStepOutcome {
                 loss: None,
                 points: 0,
             });
         }
-        let retired = std::mem::replace(&mut self.grad, grad);
-        self.scratch.release(retired);
-        let inv_points = 1.0 / points as f64;
-        self.grad.scale(inv_points);
-        // Only now is it safe to grow the shared model.
-        self.model.grow_to(self.grad.dim());
-        self.grad.grow_to(self.model.dim());
-        self.regularizer
-            .add_gradient(self.model.weights(), &mut self.grad);
-        self.optimizer.apply(self.model.weights_mut(), &self.grad);
-        self.points_seen += points;
+        let inv_points = 1.0 / source.points as f64;
+        // Only now, after the reduce, is it safe to grow the shared model.
+        self.apply_run(source.run, inv_points);
+        self.points_seen += source.points;
         Ok(FusedStepOutcome {
-            loss: Some(loss_sum * inv_points),
-            points,
+            loss: Some(source.loss_sum * inv_points),
+            points: source.points,
         })
+    }
+
+    /// Applies a reduced gradient run: grows the model to the run's width,
+    /// then makes one fused regularizer+optimizer pass over `run · scale`.
+    fn apply_run(&mut self, run: GradRun, scale: f64) {
+        self.model.grow_to(run.width());
+        self.grad.grow_to(self.model.dim());
+        run.scatter(self.grad.as_mut_slice());
+        self.optimizer.apply_regularized(
+            self.model.weights_mut(),
+            &self.grad,
+            scale,
+            self.regularizer,
+        );
+        run.unscatter(self.grad.as_mut_slice());
+        self.scratch.release(run);
     }
 
     /// Cumulative `(reused, allocated)` scratch-gradient acquisition counts,
     /// for observability (surfaced as `engine.scratch_*` histogram samples).
     pub fn scratch_counters(&self) -> (u64, u64) {
         self.scratch.counters()
-    }
-
-    /// Restores the scratch buffer after deserialization (serde skips it).
-    pub fn rehydrate(&mut self) {
-        self.grad = DenseVector::zeros(self.model.dim());
     }
 }
 

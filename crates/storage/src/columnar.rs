@@ -387,34 +387,31 @@ impl<'a> RowView<'a> {
         }
     }
 
-    /// `weights += alpha * self`, growing `weights` with zero padding first
-    /// — bit-identical to `Vector::axpy_into_growing` on the same example.
-    pub fn axpy_into_growing(&self, alpha: f64, weights: &mut DenseVector) {
+    /// Visits `(j, x_j)` for exactly the coordinates
+    /// [`Vector::axpy_into_growing`] touches on the same example, in the
+    /// same order — every column of a dense row (stored zeros included),
+    /// the stored entries of a sparse row — and returns the width that call
+    /// would grow its target to: a dense row's dimension, a sparse row's
+    /// last index plus one (`0` when it stores nothing).
+    pub fn for_each_touched(&self, mut f: impl FnMut(usize, f64)) -> usize {
         match self {
             RowView::Slab { slab, row } => match &slab.layout {
                 SlabLayout::Dense { dim, cols } => {
-                    weights.grow_to(*dim);
-                    let w = &mut weights.as_mut_slice()[..*dim];
-                    for (slot, col) in w.iter_mut().zip(cols) {
-                        *slot += alpha * col[*row];
+                    for (j, col) in cols.iter().enumerate() {
+                        f(j, col[*row]);
                     }
+                    *dim
                 }
                 SlabLayout::Csr { .. } => {
                     let (indices, values, _) = match slab.csr_row(*row) {
                         Some(parts) => parts,
                         None => unreachable!("layout checked above"),
                     };
-                    if let Some(&last) = indices.last() {
-                        weights.grow_to(last as usize + 1);
-                    }
-                    let slice = weights.as_mut_slice();
-                    for (&i, &v) in indices.iter().zip(values.iter()) {
-                        slice[i as usize] += alpha * v;
-                    }
+                    for_each_stored(indices, values, f)
                 }
-                SlabLayout::Rows(rows) => rows[*row].axpy_into_growing(alpha, weights),
+                SlabLayout::Rows(rows) => for_each_coord(&rows[*row], f),
             },
-            RowView::Point(p) => p.features.axpy_into_growing(alpha, weights),
+            RowView::Point(p) => for_each_coord(&p.features, f),
         }
     }
 
@@ -448,6 +445,27 @@ impl<'a> RowView<'a> {
     pub fn to_point(&self) -> LabeledPoint {
         LabeledPoint::new(self.label(), self.to_vector())
     }
+}
+
+/// [`RowView::for_each_touched`] over a row-layout vector.
+fn for_each_coord(v: &Vector, mut f: impl FnMut(usize, f64)) -> usize {
+    match v {
+        Vector::Dense(d) => {
+            for (j, &x) in d.as_slice().iter().enumerate() {
+                f(j, x);
+            }
+            d.dim()
+        }
+        Vector::Sparse(s) => for_each_stored(s.indices(), s.values(), f),
+    }
+}
+
+/// [`RowView::for_each_touched`] over sparse index/value arrays.
+fn for_each_stored(indices: &[u32], values: &[f64], mut f: impl FnMut(usize, f64)) -> usize {
+    for (&i, &v) in indices.iter().zip(values) {
+        f(i as usize, v);
+    }
+    indices.last().map_or(0, |&last| last as usize + 1)
 }
 
 #[cfg(test)]
@@ -514,6 +532,18 @@ mod tests {
         assert_eq!(slab.row(1).to_point(), points[1]);
     }
 
+    /// `w + alpha * row` through [`RowView::for_each_touched`].
+    fn axpy_by_visit(row: RowView<'_>, alpha: f64, w: &DenseVector) -> DenseVector {
+        let mut touched = Vec::new();
+        let width = row.for_each_touched(|j, x| touched.push((j, x)));
+        let mut out = w.clone();
+        out.grow_to(width);
+        for (j, x) in touched {
+            out.as_mut_slice()[j] += alpha * x;
+        }
+        out
+    }
+
     #[test]
     fn row_ops_are_bit_identical_to_vector_ops() {
         let points = vec![
@@ -532,11 +562,9 @@ mod tests {
                     slab.row(i).dot_padded(&w).to_bits(),
                     p.features.dot_padded(&w).to_bits()
                 );
-                let mut a = w.clone();
                 let mut b = w.clone();
-                slab.row(i).axpy_into_growing(0.3, &mut a);
                 p.features.axpy_into_growing(0.3, &mut b);
-                assert_eq!(a, b);
+                assert_eq!(axpy_by_visit(slab.row(i), 0.3, &w), b);
             }
         }
         let sp = vec![
@@ -550,11 +578,9 @@ mod tests {
                     slab.row(i).dot_padded(&w).to_bits(),
                     p.features.dot_padded(&w).to_bits()
                 );
-                let mut a = w.clone();
                 let mut b = w.clone();
-                slab.row(i).axpy_into_growing(-0.7, &mut a);
                 p.features.axpy_into_growing(-0.7, &mut b);
-                assert_eq!(a, b);
+                assert_eq!(axpy_by_visit(slab.row(i), -0.7, &w), b);
             }
         }
     }

@@ -157,28 +157,47 @@ fn fused_step_allocates_less_than_materialize_then_step() {
 
     // A second fused step on the warm trainer reuses pooled gradient
     // buffers instead of allocating fresh ones.
-    let (_, _, warm_bytes) = measure(|| {
-        fused_trainer
-            .try_step_fused_on(
-                raws.len(),
-                |i, sink: &mut dyn FnMut(RowView<'_>)| {
-                    let mut local = template.clone();
-                    local.reset_counters();
-                    local.transform_chunk_fold(&raws[i], &mut |p| sink(RowView::Point(p)));
-                },
-                engine,
-                &NoFaults,
-                &Metrics::disabled(),
-                &Tracer::disabled(),
-                None,
-            )
-            .expect("warm fused step")
-    });
+    let warm_step = |trainer: &mut SgdTrainer| {
+        measure(|| {
+            trainer
+                .try_step_fused_on(
+                    raws.len(),
+                    |i, sink: &mut dyn FnMut(RowView<'_>)| {
+                        let mut local = template.clone();
+                        local.reset_counters();
+                        local.transform_chunk_fold(&raws[i], &mut |p| sink(RowView::Point(p)));
+                    },
+                    engine,
+                    &NoFaults,
+                    &Metrics::disabled(),
+                    &Tracer::disabled(),
+                    None,
+                )
+                .expect("warm fused step")
+        })
+    };
+    let (_, _, warm_bytes) = warm_step(&mut fused_trainer);
     let (reused, allocated) = fused_trainer.scratch_counters();
     assert!(reused > 0, "warm fused step must reuse scratch buffers");
     assert!(allocated > 0);
     assert!(
         warm_bytes <= fused_bytes,
         "warm scratch pool should not allocate more than the cold one: {warm_bytes} vs {fused_bytes}"
+    );
+
+    // In the steady state a fire allocates no per-source gradient buffer:
+    // every source's run comes from the pool, and the pool's capacity
+    // already fits the fire.
+    let (_, _, steady_bytes) = warm_step(&mut fused_trainer);
+    let (steady_reused, steady_allocated) = fused_trainer.scratch_counters();
+    assert_eq!(
+        steady_allocated, allocated,
+        "a steady-state fused step must not allocate a scratch run"
+    );
+    assert_eq!(steady_reused, reused + raws.len() as u64);
+    assert!(
+        steady_bytes <= warm_bytes,
+        "a steady-state fused step should not allocate more than the first warm one: \
+         {steady_bytes} vs {warm_bytes}"
     );
 }

@@ -1,7 +1,8 @@
-//! Source-level gate for the training hot path: the SGD inner loop and the
-//! sparse kernel must not carry `.unwrap()` / `.expect(` outside their test
-//! modules. A panic annotation in these files is a latent crash in the
-//! deployment loop; invariants that are genuinely unreachable are written as
+//! Source-level gate for the training hot path: the SGD inner loop, its
+//! gradient accumulator, optimizer and regularizer, and the sparse kernel
+//! must not carry `.unwrap()` / `.expect(` outside their test modules. A
+//! panic annotation in these files is a latent crash in the deployment loop;
+//! invariants that are genuinely unreachable are written as
 //! `match`/`unreachable!` with a comment explaining why, so the gate also
 //! forces the justification to exist.
 
@@ -16,6 +17,18 @@ fn sgd_and_sparse_hot_paths_carry_no_panic_annotations() {
         (
             "crates/ml/src/sgd.rs",
             include_str!("../crates/ml/src/sgd.rs"),
+        ),
+        (
+            "crates/ml/src/accumulator.rs",
+            include_str!("../crates/ml/src/accumulator.rs"),
+        ),
+        (
+            "crates/ml/src/optimizer.rs",
+            include_str!("../crates/ml/src/optimizer.rs"),
+        ),
+        (
+            "crates/ml/src/regularizer.rs",
+            include_str!("../crates/ml/src/regularizer.rs"),
         ),
         (
             "crates/linalg/src/sparse.rs",
