@@ -127,7 +127,9 @@ impl DeploymentCheckpoint {
     /// so compatibility tests can fabricate genuinely old checkpoints.
     pub fn encode_versioned(&self, version: u16) -> Vec<u8> {
         let v3_store_stats = version >= 3;
-        let mut out = Vec::with_capacity(4096);
+        let mut metrics = Vec::new();
+        encode_metrics(&mut metrics, &self.metrics);
+        let mut out = Vec::with_capacity(self.state_len(v3_store_stats) + metrics.len());
         put_u64(&mut out, self.chunk_idx);
         put_f64(&mut out, self.now_secs);
         put_f64_vec(&mut out, &self.weights);
@@ -187,8 +189,27 @@ impl DeploymentCheckpoint {
         put_u64(&mut out, self.ckpt_writes);
         put_u64(&mut out, self.ckpt_bytes);
         put_u64(&mut out, self.ckpt_restores);
-        encode_metrics(&mut out, &self.metrics);
+        out.extend_from_slice(&metrics);
         out
+    }
+
+    /// Exact encoded length of everything before the metrics snapshot, so a
+    /// multi-megabyte payload is allocated once instead of regrown.
+    fn state_len(&self, v3_store_stats: bool) -> usize {
+        // Fixed width: 23 scalar u64/f64 fields, the 4 accounted seconds,
+        // the 4 pipeline counters, the fault/store/tiered counter blocks, 2
+        // one-byte fields and the 9 u32 counts of the variable parts below.
+        let store_fields = if v3_store_stats { 9 } else { 7 };
+        let fixed = 8 * (23 + 4 + 4 + 11 + store_fields + 6) + 2 + 4 * 9;
+        let f64s = self.weights.len()
+            + self.opt_acc1.len()
+            + self.opt_acc2.len()
+            + self.drift_baseline.len()
+            + self.drift_recent.len()
+            + self.manifest.len();
+        let curves = self.eval_curve.len() + self.cost_curve.len();
+        let states: usize = self.component_states.iter().map(|s| 4 + s.len()).sum();
+        fixed + 8 * f64s + 16 * curves + states
     }
 
     /// Decodes a checkpoint payload written by this build (the current
@@ -707,6 +728,21 @@ mod tests {
         assert_eq!(decoded.metrics.lineage[&5].len(), 2);
         assert_eq!(decoded.initial_report.epochs, 3);
         assert!(decoded.initial_report.converged);
+    }
+
+    #[test]
+    fn encode_allocates_its_exact_length_up_front() {
+        let ckpt = sample_checkpoint();
+        let mut metrics = Vec::new();
+        encode_metrics(&mut metrics, &ckpt.metrics);
+        for version in [1, 2, cdp_storage::CHECKPOINT_SCHEMA.0] {
+            let bytes = ckpt.encode_versioned(version);
+            assert_eq!(
+                ckpt.state_len(version >= 3) + metrics.len(),
+                bytes.len(),
+                "schema v{version}"
+            );
+        }
     }
 
     #[test]

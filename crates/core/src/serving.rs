@@ -67,19 +67,42 @@ pub struct ServingSnapshot {
     pub version: u64,
 }
 
-/// Order-independent fingerprint of a weight vector's exact bit patterns
-/// (FNV-1a over `f64::to_bits`, length-mixed). Two weight vectors fingerprint
-/// equal iff they are bit-identical — used by the publish event log and the
-/// resume tests to name *which* model a publish carried.
+/// Fingerprint of a weight vector's exact bit patterns, used by the publish
+/// event log and the resume tests to name *which* model a publish carried.
+///
+/// Word `i` (`f64::to_bits`) feeds lane `i % 4` of four independent lanes,
+/// one xor–multiply–rotate step each; the lanes and the length are then
+/// folded in order and avalanched. Bit-identical vectors fingerprint equal.
+/// Every step is a bijection of the word or lane it takes in, so flipping
+/// any single bit of any weight always changes the fingerprint (`0.0` and
+/// `-0.0` differ); swapping two unequal weights or changing the length
+/// changes it except with 64-bit-hash odds.
 pub fn weights_fingerprint(weights: &[f64]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for w in weights {
-        for byte in w.to_bits().to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    const MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+    fn mix(lane: u64, word: u64) -> u64 {
+        (lane ^ word).wrapping_mul(MUL).rotate_left(32)
+    }
+    let mut lanes: [u64; 4] = [
+        0x243F_6A88_85A3_08D3,
+        0x1319_8A2E_0370_7344,
+        0xA409_3822_299F_31D0,
+        0x082E_FA98_EC4E_6C89,
+    ];
+    let mut quads = weights.chunks_exact(4);
+    for quad in &mut quads {
+        for (lane, w) in lanes.iter_mut().zip(quad) {
+            *lane = mix(*lane, w.to_bits());
         }
     }
-    h ^ (weights.len() as u64)
+    for (lane, w) in lanes.iter_mut().zip(quads.remainder()) {
+        *lane = mix(*lane, w.to_bits());
+    }
+    let mut h = lanes
+        .iter()
+        .fold(weights.len() as u64, |h, &lane| mix(h, lane));
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+    h ^ (h >> 33)
 }
 
 /// Slots per shard ring. Two is the double buffer; two more absorb a
@@ -499,7 +522,7 @@ impl ServerBuilder {
 /// bit-identical to unbatched ones by construction. `None` = rejected
 /// (malformed/filtered record, or — defensively — a feature vector wider
 /// than the snapshot's weights, which `publish`'s `grow_to` makes
-/// unreachable but which must reject rather than panic in `margin_ref`).
+/// unreachable; such a query is rejected rather than scored as padded).
 fn score_raw(snap: &ServingSnapshot, record: &Record) -> Option<f64> {
     let point = snap.pipeline.transform_query(record)?;
     if point.features.dim() > snap.model.dim() {
@@ -1438,5 +1461,45 @@ mod tests {
         assert_ne!(a, b);
         assert_ne!(a, c);
         assert_ne!(weights_fingerprint(&[]), weights_fingerprint(&[0.0]));
+        assert_ne!(weights_fingerprint(&[0.0]), weights_fingerprint(&[-0.0]));
+    }
+
+    #[test]
+    fn fingerprint_detects_bit_flips_swaps_and_length_changes() {
+        // Lengths 1..=9 cover every lane, a full round and the remainder.
+        for len in 1..=9usize {
+            let weights: Vec<f64> = (0..len).map(|i| 0.25 * i as f64 - 0.7).collect();
+            let fp = weights_fingerprint(&weights);
+            for at in [0, len / 2, len - 1] {
+                for bit in 0..64 {
+                    let mut flipped = weights.clone();
+                    flipped[at] = f64::from_bits(flipped[at].to_bits() ^ (1 << bit));
+                    assert_ne!(
+                        weights_fingerprint(&flipped),
+                        fp,
+                        "len {len}, weight {at}, bit {bit}"
+                    );
+                }
+            }
+            for i in 0..len {
+                for j in i + 1..len {
+                    let mut swapped = weights.clone();
+                    swapped.swap(i, j);
+                    assert_ne!(
+                        weights_fingerprint(&swapped),
+                        fp,
+                        "len {len}, swap {i}<->{j}"
+                    );
+                }
+            }
+            let mut longer = weights.clone();
+            longer.push(0.0);
+            assert_ne!(weights_fingerprint(&longer), fp, "len {len} + 0.0");
+            assert_ne!(
+                weights_fingerprint(&weights[..len - 1]),
+                fp,
+                "len {len} - 1"
+            );
+        }
     }
 }

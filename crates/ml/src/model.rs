@@ -79,14 +79,21 @@ impl LinearModel {
         if x.dim() > self.weights.dim() {
             self.weights.grow_to(x.dim());
         }
-        x.dot(&self.weights)
-            .expect("weights cover features after growth")
+        match x.dot(&self.weights) {
+            Ok(z) => z,
+            // `dot` rejects only rows wider than the weights, and the
+            // weights were just grown to cover this row.
+            Err(_) => unreachable!("weights cover features after growth"),
+        }
     }
 
-    /// Margin without mutation; rows must fit the current weights.
+    /// Margin without mutation for rows that may be *wider* than the model:
+    /// uncovered coordinates multiply zero-weights, exactly as if the model
+    /// had already grown (as [`LinearModel::margin_row`] scores them). For a
+    /// row the weights cover it is bit-identical to
+    /// [`LinearModel::margin`].
     pub fn margin_ref(&self, x: &Vector) -> f64 {
-        x.dot(&self.weights)
-            .expect("feature dimension exceeds model weights")
+        x.dot_padded(&self.weights)
     }
 
     /// Raw margin `w·x` for a zero-copy columnar row. Grows the weights when
@@ -96,15 +103,6 @@ impl LinearModel {
         if x.dim() > self.weights.dim() {
             self.weights.grow_to(x.dim());
         }
-        x.dot_padded(&self.weights)
-    }
-
-    /// Margin without mutation for rows that may be *wider* than the model:
-    /// uncovered coordinates multiply zero-weights, exactly as if the model
-    /// had already grown. The fused transform+gradient pass relies on this —
-    /// parallel tasks must not mutate the shared model, so it is grown only
-    /// after the deterministic gradient reduce.
-    pub fn margin_padded(&self, x: &Vector) -> f64 {
         x.dot_padded(&self.weights)
     }
 
@@ -158,6 +156,24 @@ mod tests {
         let wide: Vector = vec![1.0, 1.0, 1.0, 1.0].into();
         assert_eq!(m.margin(&wide), 0.0);
         assert_eq!(m.dim(), 4);
+    }
+
+    #[test]
+    fn margin_ref_scores_wider_rows_as_if_zero_padded() {
+        let m = LinearModel::with_weights(DenseVector::new(vec![0.5, -2.0]), LossKind::Hinge);
+        let wide: Vector = vec![2.0, 1.0, 7.0, -3.0].into();
+        assert_eq!(m.margin_ref(&wide), -1.0);
+        let sparse = Vector::Sparse(
+            cdp_linalg::SparseVector::new(6, vec![1, 5], vec![3.0, 9.0]).expect("sorted indices"),
+        );
+        assert_eq!(m.margin_ref(&sparse), -6.0);
+        let mut grown = m.clone();
+        assert_eq!(grown.margin(&wide).to_bits(), m.margin_ref(&wide).to_bits());
+        assert_eq!(
+            grown.margin(&sparse).to_bits(),
+            m.margin_ref(&sparse).to_bits()
+        );
+        assert_eq!(m.dim(), 2, "margin_ref never grows the model");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! ([`crate::recorder`]) are record schemas on top of the five pieces owned
 //! here; DESIGN.md §18 states the protocol and its rules once:
 //!
-//! - [`crc32`], the bitwise IEEE CRC-32;
+//! - [`crc32`], the IEEE CRC-32 (slicing-by-16);
 //! - the [`Envelope`] `magic | version u16 | body | crc32 u32`, whose
 //!   trailer covers every byte before it — sealed by [`seal`] or
 //!   [`Envelope::trailer`], opened by [`Envelope::open`];
@@ -29,18 +29,61 @@ pub const HEADER_LEN: usize = 6;
 /// Bytes of the CRC-32 trailer.
 const TRAILER_LEN: usize = 4;
 
-/// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`), bitwise.
+/// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`), table-driven
+/// slicing-by-16.
 pub fn crc32(data: &[u8]) -> u32 {
     !crc_update(0xFFFF_FFFF, data)
 }
 
-fn crc_update(mut crc: u32, data: &[u8]) -> u32 {
-    for &byte in data {
-        crc ^= u32::from(byte);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+/// `CRC_TABLES[0]` is the byte-at-a-time table of the reflected polynomial;
+/// `CRC_TABLES[k][b]` advances the CRC of byte `b` over `k` more zero bytes.
+const CRC_TABLES: [[u32; 256]; 16] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 16] {
+    let mut tables = [[0u32; 256]; 16];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            bit += 1;
         }
+        tables[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 16 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = tables[k - 1][b];
+            tables[k][b] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    tables
+}
+
+/// Advances a running (pre-inversion) CRC over `data`: sixteen bytes per
+/// step, each looked up in the table for its distance from the block's end,
+/// then the tail one byte at a time. Streaming is exact:
+/// `crc_update(crc_update(c, a), b) == crc_update(c, a ++ b)`.
+fn crc_update(mut crc: u32, data: &[u8]) -> u32 {
+    let mut blocks = data.chunks_exact(16);
+    for block in &mut blocks {
+        let mut bytes = [0u8; 16];
+        bytes.copy_from_slice(block);
+        for (byte, c) in bytes.iter_mut().zip(crc.to_le_bytes()) {
+            *byte ^= c;
+        }
+        crc = bytes
+            .iter()
+            .zip(CRC_TABLES.iter().rev())
+            .fold(0, |acc, (&byte, table)| acc ^ table[usize::from(byte)]);
+    }
+    for &byte in blocks.remainder() {
+        crc = (crc >> 8) ^ CRC_TABLES[0][usize::from(crc as u8 ^ byte)];
     }
     crc
 }
@@ -449,6 +492,74 @@ mod tests {
     fn checksum_matches_the_ieee_check_value() {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The bitwise CRC-32 the sliced one replaced: the reference it must
+    /// match bit for bit.
+    fn bitwise_crc_update(mut crc: u32, data: &[u8]) -> u32 {
+        for &byte in data {
+            crc ^= u32::from(byte);
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            }
+        }
+        crc
+    }
+
+    /// Deterministic pseudo-random bytes (splitmix64).
+    fn noise(len: usize, seed: u64) -> Vec<u8> {
+        let mut state = seed;
+        (0..len)
+            .map(|_| {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                (z ^ (z >> 31)) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sliced_crc_matches_the_bitwise_reference() {
+        // Every length across the 16-byte block boundaries and the tail.
+        let data = noise(300, 1);
+        for len in 0..=data.len() {
+            let bytes = &data[..len];
+            assert_eq!(
+                crc_update(0xFFFF_FFFF, bytes),
+                bitwise_crc_update(0xFFFF_FFFF, bytes),
+                "length {len}"
+            );
+            assert_eq!(crc32(bytes), !bitwise_crc_update(0xFFFF_FFFF, bytes));
+        }
+        // Streaming over every split point equals one pass (what
+        // `Envelope::trailer` relies on).
+        let buf = noise(100, 2);
+        let whole = crc_update(0xFFFF_FFFF, &buf);
+        for split in 0..=buf.len() {
+            let (a, b) = buf.split_at(split);
+            assert_eq!(
+                crc_update(crc_update(0xFFFF_FFFF, a), b),
+                whole,
+                "split {split}"
+            );
+        }
+        // Unaligned sub-slices, from a non-initial running CRC too.
+        let wide = noise(257, 3);
+        for start in 0..17 {
+            for end in [start, start + 15, start + 16, start + 33, wide.len()] {
+                let sub = &wide[start..end];
+                for init in [0xFFFF_FFFF, 0, 0x1234_5678] {
+                    assert_eq!(
+                        crc_update(init, sub),
+                        bitwise_crc_update(init, sub),
+                        "{start}..{end} from {init:#x}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

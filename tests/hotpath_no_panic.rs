@@ -1,5 +1,6 @@
-//! Source-level gate for the training hot path: the SGD inner loop, its
-//! gradient accumulator, optimizer and regularizer, and the sparse kernel
+//! Source-level gate for the deployment hot path: the SGD inner loop, its
+//! gradient accumulator, optimizer and regularizer, the linear model, the
+//! sparse kernel, the durable-segment primitive and the checkpoint codec
 //! must not carry `.unwrap()` / `.expect(` outside their test modules. A
 //! panic annotation in these files is a latent crash in the deployment loop;
 //! invariants that are genuinely unreachable are written as
@@ -31,8 +32,20 @@ fn sgd_and_sparse_hot_paths_carry_no_panic_annotations() {
             include_str!("../crates/ml/src/regularizer.rs"),
         ),
         (
+            "crates/ml/src/model.rs",
+            include_str!("../crates/ml/src/model.rs"),
+        ),
+        (
             "crates/linalg/src/sparse.rs",
             include_str!("../crates/linalg/src/sparse.rs"),
+        ),
+        (
+            "crates/storage/src/segment.rs",
+            include_str!("../crates/storage/src/segment.rs"),
+        ),
+        (
+            "crates/core/src/checkpoint.rs",
+            include_str!("../crates/core/src/checkpoint.rs"),
         ),
     ];
     for (name, source) in gated {
