@@ -200,10 +200,10 @@ struct Control {
     ranges: Vec<RangeQueue>,
     units: usize,
     completed: AtomicUsize,
-    /// Set on the first unit panic; remaining units drain without running
-    /// (fail-fast), so the caller wakes promptly with the first payload.
-    poisoned: AtomicBool,
-    panic: Mutex<Option<Box<dyn Any + Send>>>,
+    /// The panic payload of the lowest-indexed unit that panicked. Every
+    /// claimed unit runs even after a panic, so which units ran — and which
+    /// payload is kept — never depends on the schedule.
+    panic: Mutex<Option<(usize, Box<dyn Any + Send>)>>,
     steals: AtomicU64,
     /// Scope-close handshake: the caller sets `closed` only after every
     /// unit completed, then spins until `guards` drains to zero. A pool job
@@ -234,7 +234,6 @@ impl Control {
             ranges,
             units,
             completed: AtomicUsize::new(0),
-            poisoned: AtomicBool::new(false),
             panic: Mutex::new(None),
             steals: AtomicU64::new(0),
             closed: AtomicBool::new(false),
@@ -249,9 +248,10 @@ impl Control {
 /// siblings when dry, run each claimed unit under `catch_unwind`, count
 /// completions, and wake the submitting thread when the last unit lands.
 ///
-/// Every claimed unit is counted as completed even when it panics or is
-/// drained while poisoned — the completion count is the only thing the
-/// caller waits on, so it must always reach `units`.
+/// Every claimed unit runs and is counted as completed, even after another
+/// unit panicked: the completion count is the only thing the caller waits
+/// on, so it must always reach `units`, and running every unit keeps the
+/// set of executed units (their spans, their fault orders) schedule-free.
 fn participate(ctrl: &Control, me: usize, run_unit: &(dyn Fn(usize) + Sync)) {
     let queues = ctrl.ranges.len();
     loop {
@@ -266,26 +266,21 @@ fn participate(ctrl: &Control, me: usize, run_unit: &(dyn Fn(usize) + Sync)) {
             })
         });
         let Some(unit) = unit else { break };
-        if !ctrl.poisoned.load(Ordering::SeqCst) {
-            if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| run_unit(unit))) {
-                ctrl.poisoned.store(true, Ordering::SeqCst);
-                // Keep the first payload; any later one is dropped *outside*
-                // the slot lock and behind its own catch_unwind: a payload
-                // whose Drop panics while the lock is held would kill this
-                // participant before the completion count below and hang the
-                // caller forever.
-                let extra = {
-                    let mut slot = lock_ignore_poison(&ctrl.panic);
-                    if slot.is_none() {
-                        *slot = Some(payload);
-                        None
-                    } else {
-                        Some(payload)
-                    }
-                };
-                if let Some(extra) = extra {
-                    let _ = panic::catch_unwind(AssertUnwindSafe(move || drop(extra)));
+        if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| run_unit(unit))) {
+            // Keep the payload of the lowest unit index; the other one is
+            // dropped *outside* the slot lock and behind its own
+            // catch_unwind: a payload whose Drop panics while the lock is
+            // held would kill this participant before the completion count
+            // below and hang the caller forever.
+            let extra = {
+                let mut slot = lock_ignore_poison(&ctrl.panic);
+                match &*slot {
+                    Some((kept, _)) if *kept < unit => Some(payload),
+                    _ => slot.replace((unit, payload)).map(|(_, old)| old),
                 }
+            };
+            if let Some(extra) = extra {
+                let _ = panic::catch_unwind(AssertUnwindSafe(move || drop(extra)));
             }
         }
         if ctrl.completed.fetch_add(1, Ordering::SeqCst) + 1 == ctrl.units {
@@ -416,8 +411,8 @@ fn act_injected_panics(panics: u32) -> Result<(), EngineError> {
 /// pool helpers (capped by the host's spare parallelism on the untraced
 /// path, where the submitting thread is participant 0), waits for the
 /// completion count, then closes the scope so no pool job can still touch
-/// the caller's stack. Returns the steal count and the first panic payload,
-/// if any unit panicked.
+/// the caller's stack. Returns the steal count and the panic payload of the
+/// lowest-indexed unit that panicked, if any.
 fn run_stealing(
     workers: usize,
     units: usize,
@@ -486,7 +481,7 @@ fn run_stealing(
     while ctrl.guards.load(Ordering::SeqCst) > 0 {
         std::thread::yield_now();
     }
-    let payload = lock_ignore_poison(&ctrl.panic).take();
+    let payload = lock_ignore_poison(&ctrl.panic).take().map(|(_, p)| p);
     (ctrl.steals.load(Ordering::Relaxed), payload)
 }
 
@@ -617,8 +612,9 @@ impl ExecutionEngine {
     /// input order.
     ///
     /// # Panics
-    /// If `f` panics on any item, the first participant's payload is
-    /// re-raised on the calling thread once the map has drained.
+    /// If `f` panics on any item, the payload of the lowest-indexed
+    /// panicking unit is re-raised on the calling thread once every unit
+    /// has run.
     pub fn map<T, U, F>(&self, items: Vec<T>, f: F) -> Vec<U>
     where
         T: Send,

@@ -10,6 +10,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use cdp_engine::ExecutionEngine;
 use cdp_linalg::DenseVector;
 
 use crate::regularizer::{l1_subgradient, Regularizer};
@@ -189,88 +190,204 @@ impl OptimizerState {
     /// `grad`, adding [`Regularizer::add_gradient`] and calling
     /// [`AdaptiveRate::apply`] in three dense passes. Covers the coordinates
     /// `weights` and `grad` share.
+    ///
+    /// The pass is elementwise, so it runs on `engine` in fixed ranges of
+    /// `RANGE_LEN` coordinates: the split depends on the dimension alone,
+    /// and any split yields the same bits. The dispatch is unobserved (no
+    /// metrics, spans or fault hook), so traces and metric snapshots do not
+    /// depend on it.
     pub fn apply_regularized(
         &mut self,
         weights: &mut DenseVector,
         grad: &DenseVector,
         scale: f64,
         regularizer: Regularizer,
+        engine: ExecutionEngine,
     ) {
         // Matching here, outside the loops, leaves every monomorphized loop
         // body branch-free so it vectorizes.
         match regularizer {
-            Regularizer::None => self.update(weights, grad, |g, _| g * scale),
-            Regularizer::L2(lambda) => self.update(weights, grad, |g, w| g * scale + lambda * w),
-            Regularizer::L1(lambda) => {
-                self.update(weights, grad, |g, w| g * scale + l1_subgradient(lambda, w))
+            Regularizer::None => self.update(weights, grad, |g, _| g * scale, engine),
+            Regularizer::L2(lambda) => {
+                self.update(weights, grad, |g, w| g * scale + lambda * w, engine)
             }
+            Regularizer::L1(lambda) => self.update(
+                weights,
+                grad,
+                |g, w| g * scale + l1_subgradient(lambda, w),
+                engine,
+            ),
         }
     }
 
-    /// One update `w ← w − Δ(g)` with `g = grad_at(grad[i], w[i])`.
+    /// One update `w ← w − Δ(g)` with `g = grad_at(grad[i], w[i])`: advances
+    /// the step counter, resolves the step's [`Rule`] once, then applies
+    /// [`update_part`] inline on one range or across `engine` on several.
     fn update(
         &mut self,
         weights: &mut DenseVector,
         grad: &DenseVector,
-        grad_at: impl Fn(f64, f64) -> f64,
+        grad_at: impl Fn(f64, f64) -> f64 + Sync,
+        engine: ExecutionEngine,
     ) {
         let n = weights.dim().min(grad.dim());
         self.grow_to(n);
         self.t += 1;
-        let w = weights.as_mut_slice().iter_mut();
-        let coords = w.zip(grad.as_slice());
-        match self.kind {
-            OptimizerKind::Constant { eta } => {
-                for (w, &g) in coords {
-                    *w -= eta * grad_at(g, *w);
-                }
-            }
-            OptimizerKind::InvScaling { eta0, power } => {
-                let eta = eta0 / (self.t as f64).powf(power);
-                for (w, &g) in coords {
-                    *w -= eta * grad_at(g, *w);
-                }
-            }
-            OptimizerKind::Momentum { eta, gamma } => {
-                for ((w, &g), u) in coords.zip(self.acc1.as_mut_slice()) {
-                    *u = gamma * *u + eta * grad_at(g, *w);
-                    *w -= *u;
-                }
-            }
+        let rule = Rule::at(self.kind, self.t);
+        let w = head(weights.as_mut_slice(), n);
+        let g = &grad.as_slice()[..n];
+        // An accumulator the optimizer does not use is empty; one it uses
+        // covers at least `n` coordinates after `grow_to`.
+        let acc1 = head(self.acc1.as_mut_slice(), n);
+        let acc2 = head(self.acc2.as_mut_slice(), n);
+        if n <= RANGE_LEN || engine == ExecutionEngine::Sequential {
+            update_part(rule, w, g, acc1, acc2, &grad_at);
+            return;
+        }
+        let parts: Vec<_> = w
+            .chunks_mut(RANGE_LEN)
+            .zip(g.chunks(RANGE_LEN))
+            .zip(ranges(acc1).zip(ranges(acc2)))
+            .collect();
+        engine.map(parts, |((w, g), (acc1, acc2))| {
+            update_part(rule, w, g, acc1, acc2, &grad_at)
+        });
+    }
+}
+
+/// Coordinates per range of the fused pass on a threaded engine. Fixed, so
+/// the split is a function of the dimension only — never of the worker
+/// count — and large enough that one range's work dwarfs its dispatch.
+const RANGE_LEN: usize = 16_384;
+
+/// The first `n` elements of `slice`, or all of it when it is shorter.
+fn head(slice: &mut [f64], n: usize) -> &mut [f64] {
+    let n = n.min(slice.len());
+    &mut slice[..n]
+}
+
+/// `RANGE_LEN`-long ranges of an accumulator, then empty slices forever, so
+/// an unused (empty) accumulator pairs an empty slice with every range.
+fn ranges(acc: &mut [f64]) -> impl Iterator<Item = &mut [f64]> {
+    acc.chunks_mut(RANGE_LEN)
+        .chain(std::iter::repeat_with(<&mut [f64]>::default))
+}
+
+/// One step's update rule: the optimizer's hyperparameters plus the scalars
+/// that depend on the step counter alone (InvScaling's decayed rate, Adam's
+/// bias corrections), computed once per step and shared by every range.
+#[derive(Clone, Copy)]
+enum Rule {
+    /// `w −= η·g` (Constant, and InvScaling at its decayed rate).
+    Plain {
+        eta: f64,
+    },
+    Momentum {
+        eta: f64,
+        gamma: f64,
+    },
+    Adam {
+        eta: f64,
+        beta1: f64,
+        beta2: f64,
+        eps: f64,
+        bias1: f64,
+        bias2: f64,
+    },
+    RmsProp {
+        eta: f64,
+        decay: f64,
+        eps: f64,
+    },
+    AdaDelta {
+        decay: f64,
+        eps: f64,
+    },
+}
+
+impl Rule {
+    /// The rule of step `t` (1-based) of `kind`.
+    fn at(kind: OptimizerKind, t: u64) -> Self {
+        match kind {
+            OptimizerKind::Constant { eta } => Rule::Plain { eta },
+            OptimizerKind::InvScaling { eta0, power } => Rule::Plain {
+                eta: eta0 / (t as f64).powf(power),
+            },
+            OptimizerKind::Momentum { eta, gamma } => Rule::Momentum { eta, gamma },
             OptimizerKind::Adam {
                 eta,
                 beta1,
                 beta2,
                 eps,
-            } => {
-                let bias1 = 1.0 - beta1.powi(self.t as i32);
-                let bias2 = 1.0 - beta2.powi(self.t as i32);
-                let moments = self.acc1.as_mut_slice().iter_mut();
-                for ((w, &g), (m, v)) in coords.zip(moments.zip(self.acc2.as_mut_slice())) {
-                    let g = grad_at(g, *w);
-                    *m = beta1 * *m + (1.0 - beta1) * g;
-                    *v = beta2 * *v + (1.0 - beta2) * g * g;
-                    let m_hat = *m / bias1;
-                    let v_hat = *v / bias2;
-                    *w -= eta * m_hat / (v_hat.sqrt() + eps);
-                }
+            } => Rule::Adam {
+                eta,
+                beta1,
+                beta2,
+                eps,
+                bias1: 1.0 - beta1.powi(t as i32),
+                bias2: 1.0 - beta2.powi(t as i32),
+            },
+            OptimizerKind::RmsProp { eta, decay, eps } => Rule::RmsProp { eta, decay, eps },
+            OptimizerKind::AdaDelta { decay, eps } => Rule::AdaDelta { decay, eps },
+        }
+    }
+}
+
+/// The update kernel over one range: `w`, `g` and each accumulator the rule
+/// uses cover the same coordinates. Every coordinate is updated on its own,
+/// so applying it range by range gives the bits of one whole-slice call.
+fn update_part(
+    rule: Rule,
+    w: &mut [f64],
+    g: &[f64],
+    acc1: &mut [f64],
+    acc2: &mut [f64],
+    grad_at: impl Fn(f64, f64) -> f64,
+) {
+    let coords = w.iter_mut().zip(g);
+    match rule {
+        Rule::Plain { eta } => {
+            for (w, &g) in coords {
+                *w -= eta * grad_at(g, *w);
             }
-            OptimizerKind::RmsProp { eta, decay, eps } => {
-                for ((w, &g), v) in coords.zip(self.acc1.as_mut_slice()) {
-                    let g = grad_at(g, *w);
-                    *v = decay * *v + (1.0 - decay) * g * g;
-                    *w -= eta * g / (v.sqrt() + eps);
-                }
+        }
+        Rule::Momentum { eta, gamma } => {
+            for ((w, &g), u) in coords.zip(acc1) {
+                *u = gamma * *u + eta * grad_at(g, *w);
+                *w -= *u;
             }
-            OptimizerKind::AdaDelta { decay, eps } => {
-                let averages = self.acc1.as_mut_slice().iter_mut();
-                for ((w, &g), (eg2, ed2)) in coords.zip(averages.zip(self.acc2.as_mut_slice())) {
-                    let g = grad_at(g, *w);
-                    *eg2 = decay * *eg2 + (1.0 - decay) * g * g;
-                    let delta = -((*ed2 + eps).sqrt() / (*eg2 + eps).sqrt()) * g;
-                    *ed2 = decay * *ed2 + (1.0 - decay) * delta * delta;
-                    *w += delta;
-                }
+        }
+        Rule::Adam {
+            eta,
+            beta1,
+            beta2,
+            eps,
+            bias1,
+            bias2,
+        } => {
+            for ((w, &g), (m, v)) in coords.zip(acc1.iter_mut().zip(acc2)) {
+                let g = grad_at(g, *w);
+                *m = beta1 * *m + (1.0 - beta1) * g;
+                *v = beta2 * *v + (1.0 - beta2) * g * g;
+                let m_hat = *m / bias1;
+                let v_hat = *v / bias2;
+                *w -= eta * m_hat / (v_hat.sqrt() + eps);
+            }
+        }
+        Rule::RmsProp { eta, decay, eps } => {
+            for ((w, &g), v) in coords.zip(acc1) {
+                let g = grad_at(g, *w);
+                *v = decay * *v + (1.0 - decay) * g * g;
+                *w -= eta * g / (v.sqrt() + eps);
+            }
+        }
+        Rule::AdaDelta { decay, eps } => {
+            for ((w, &g), (eg2, ed2)) in coords.zip(acc1.iter_mut().zip(acc2)) {
+                let g = grad_at(g, *w);
+                *eg2 = decay * *eg2 + (1.0 - decay) * g * g;
+                let delta = -((*ed2 + eps).sqrt() / (*eg2 + eps).sqrt()) * g;
+                *ed2 = decay * *ed2 + (1.0 - decay) * delta * delta;
+                *w += delta;
             }
         }
     }
@@ -278,7 +395,7 @@ impl OptimizerState {
 
 impl AdaptiveRate for OptimizerState {
     fn apply(&mut self, weights: &mut DenseVector, grad: &DenseVector) {
-        self.update(weights, grad, |g, _| g);
+        self.update(weights, grad, |g, _| g, ExecutionEngine::Sequential);
     }
 
     fn grow_to(&mut self, dim: usize) {

@@ -390,7 +390,7 @@ impl SgdTrainer {
             }
         };
         // Every coefficient already carries the `1/batch` mean.
-        self.apply_run(source.run, 1.0);
+        self.apply_run(source.run, 1.0, engine);
         self.points_seen += batch.len() as u64;
         Some(source.loss_sum * inv_batch)
     }
@@ -680,7 +680,7 @@ impl SgdTrainer {
         }
         let inv_points = 1.0 / source.points as f64;
         // Only now, after the reduce, is it safe to grow the shared model.
-        self.apply_run(source.run, inv_points);
+        self.apply_run(source.run, inv_points, engine);
         self.points_seen += source.points;
         Ok(FusedStepOutcome {
             loss: Some(source.loss_sum * inv_points),
@@ -689,8 +689,9 @@ impl SgdTrainer {
     }
 
     /// Applies a reduced gradient run: grows the model to the run's width,
-    /// then makes one fused regularizer+optimizer pass over `run · scale`.
-    fn apply_run(&mut self, run: GradRun, scale: f64) {
+    /// then makes one fused regularizer+optimizer pass over `run · scale`,
+    /// split into fixed coordinate ranges on `engine`.
+    fn apply_run(&mut self, run: GradRun, scale: f64, engine: ExecutionEngine) {
         self.model.grow_to(run.width());
         self.grad.grow_to(self.model.dim());
         run.scatter(self.grad.as_mut_slice());
@@ -699,6 +700,7 @@ impl SgdTrainer {
             &self.grad,
             scale,
             self.regularizer,
+            engine,
         );
         run.unscatter(self.grad.as_mut_slice());
         self.scratch.release(run);

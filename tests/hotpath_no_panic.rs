@@ -1,8 +1,9 @@
-//! Source-level gate for the deployment hot path: the SGD inner loop, its
-//! gradient accumulator, optimizer and regularizer, the linear model, the
-//! sparse kernel, the durable-segment primitive and the checkpoint codec
-//! must not carry `.unwrap()` / `.expect(` outside their test modules. A
-//! panic annotation in these files is a latent crash in the deployment loop;
+//! Source-level gate for the deployment hot path: every `cdp-ml` module
+//! (the SGD inner loop, its gradient accumulator, optimizer, regularizer,
+//! losses and the linear model; `lib.rs` only declares them), the sparse
+//! kernel, the durable-segment primitive and the checkpoint codec must not
+//! carry `.unwrap()` / `.expect(` outside their test modules. A panic
+//! annotation in these files is a latent crash in the deployment loop;
 //! invariants that are genuinely unreachable are written as
 //! `match`/`unreachable!` with a comment explaining why, so the gate also
 //! forces the justification to exist.
@@ -30,6 +31,10 @@ fn sgd_and_sparse_hot_paths_carry_no_panic_annotations() {
         (
             "crates/ml/src/regularizer.rs",
             include_str!("../crates/ml/src/regularizer.rs"),
+        ),
+        (
+            "crates/ml/src/loss.rs",
+            include_str!("../crates/ml/src/loss.rs"),
         ),
         (
             "crates/ml/src/model.rs",
