@@ -20,7 +20,7 @@ use std::time::Instant;
 use cdp_bench::hotpath::{
     fixed_shard_map, stealing_map, FusedWorkload, ServingWorkload, StoreWorkload,
 };
-use cdp_engine::ExecutionEngine;
+use cdp_engine::{ExecutionEngine, TaskCtx};
 
 /// Over-baseline slack before the gate fails.
 const THRESHOLD: f64 = 0.10;
@@ -87,10 +87,14 @@ fn measure() -> Vec<(&'static str, f64)> {
     };
     let map_ratio = paired_floor_ratio(
         || {
-            pool.map_slice(&items, work);
+            pool.map_indexed(items.len(), |i| work(&items[i]), &TaskCtx::plain());
         },
         || {
-            ExecutionEngine::Sequential.map_slice(&items, work);
+            ExecutionEngine::Sequential.map_indexed(
+                items.len(),
+                |i| work(&items[i]),
+                &TaskCtx::plain(),
+            );
         },
     );
 

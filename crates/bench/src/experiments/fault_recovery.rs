@@ -2,10 +2,10 @@
 //! injection, sweeping fault intensity from none to full chaos (disk
 //! errors + corruption + worker panics + latency over a real spill tier).
 //!
-//! Records the injected/recovered accounting from [`FaultStats`] per run
-//! and verifies the harness's headline properties: the same fault seed
-//! reproduces the run bit for bit, and a worker-fault-only plan converges
-//! to the exact fault-free model.
+//! Records the injected/recovered accounting from
+//! [`cdp_faults::FaultStats`] per run and verifies the harness's headline
+//! properties: the same fault seed reproduces the run bit for bit, and a
+//! worker-fault-only plan converges to the exact fault-free model.
 
 use std::path::Path;
 

@@ -14,11 +14,9 @@
 //!   rebalances them.
 
 use cdp_core::serving::ModelServer;
-use cdp_engine::ExecutionEngine;
-use cdp_faults::NoFaults;
+use cdp_engine::{ExecutionEngine, TaskCtx};
 use cdp_ml::LinearModel;
 use cdp_ml::{FusedStepOutcome, LossKind, SgdConfig, SgdTrainer};
-use cdp_obs::{Metrics, Tracer};
 use cdp_pipeline::encode::DenseEncoder;
 use cdp_pipeline::parser::SchemaParser;
 use cdp_pipeline::scale::StandardScaler;
@@ -100,10 +98,7 @@ impl FusedWorkload {
                     local.transform_chunk_fold(&self.raws[i], &mut |p| sink(RowView::Point(p)));
                 },
                 engine,
-                &NoFaults,
-                &Metrics::disabled(),
-                &Tracer::disabled(),
-                None,
+                &TaskCtx::plain(),
             )
             .expect("no faults injected")
     }
@@ -209,7 +204,7 @@ pub fn fixed_shard_map(n: usize, workers: usize) -> Vec<f64> {
 
 /// The work-stealing path on the same skewed items.
 pub fn stealing_map(engine: ExecutionEngine, n: usize) -> Vec<f64> {
-    engine.map_indexed(n, skewed_item)
+    engine.map_indexed(n, skewed_item, &TaskCtx::plain())
 }
 
 /// Serving hot path for the regression gate: a warmed server plus a fixed

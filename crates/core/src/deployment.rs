@@ -564,7 +564,8 @@ impl DeploymentResult {
 pub enum DeploymentError {
     /// A storage-layer failure (duplicate timestamp, unrecoverable I/O).
     Storage(StorageError),
-    /// An engine-layer failure (worker dead beyond the restart budget).
+    /// An engine-layer failure (a worker panic beyond the restart budget,
+    /// or a worker pool that could not be spawned).
     Engine(EngineError),
     /// The spec's pipeline factory failed (e.g. a non-incremental
     /// component) — a configuration error, surfaced typed instead of

@@ -4,7 +4,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-use cdp_engine::{EngineError, ExecutionEngine};
+use cdp_engine::{EngineError, ExecutionEngine, TaskCtx};
 use cdp_eval::{CostLedger, PrequentialEvaluator};
 use cdp_faults::{FaultHook, NoFaults};
 use cdp_ml::{FusedStepOutcome, SgdConfig, SgdTrainer, TrainReport};
@@ -252,28 +252,30 @@ impl PipelineManager {
                 points
             }
             ExecutionEngine::Threaded { workers } => {
-                // Partition into one group per worker; each group runs on a
-                // clone of the deployed pipeline (transform-only, so the
-                // clones never diverge from the original's statistics).
-                let groups: Vec<Vec<std::sync::Arc<RawChunk>>> = history
-                    .chunks(history.len().div_ceil(workers.max(1)).max(1))
-                    .map(<[std::sync::Arc<RawChunk>]>::to_vec)
-                    .collect();
+                // Partition into one contiguous index range of the borrowed
+                // history per worker; each group runs on a clone of the
+                // deployed pipeline (transform-only, so the clones never
+                // diverge from the original's statistics).
+                let group_len = history.len().div_ceil(workers.max(1)).max(1);
                 let template = self.pipeline.clone();
-                let results = engine.map_traced(
-                    groups,
-                    |group| {
+                let results = engine.map_indexed(
+                    history.len().div_ceil(group_len),
+                    |g| {
                         let mut local = template.clone();
                         local.reset_counters();
                         let mut points = Vec::new();
-                        for chunk in &group {
+                        let group = &history[g * group_len..history.len().min((g + 1) * group_len)];
+                        for chunk in group {
                             points.extend(local.transform_chunk(chunk).to_points());
                         }
                         (points, local.counters())
                     },
-                    &self.metrics,
-                    &self.tracer,
-                    self.trace_scope,
+                    &TaskCtx {
+                        metrics: &self.metrics,
+                        tracer: &self.tracer,
+                        parent: self.trace_scope,
+                        ..TaskCtx::plain()
+                    },
                 );
                 let mut points = Vec::new();
                 for (group_points, counters) in results {
@@ -377,7 +379,8 @@ impl PipelineManager {
     /// [`EngineError::WorkerPanic`].
     ///
     /// # Errors
-    /// [`EngineError::WorkerPanic`] when a worker dies beyond recovery.
+    /// [`EngineError`]: a worker panic beyond the restart budget, or a
+    /// worker pool that could not be spawned.
     pub fn try_rematerialize_many(
         &mut self,
         raws: &[std::sync::Arc<RawChunk>],
@@ -390,21 +393,22 @@ impl PipelineManager {
             return Ok(Vec::new());
         }
         let template = self.pipeline.clone();
-        let hook = Arc::clone(&self.hook);
         // Borrowed-slice map: no clone of the `Arc<RawChunk>` handles into a
         // scratch `Vec` — workers read the caller's slice directly.
-        let results = self.engine.try_map_slice_with_hook_traced(
-            raws,
-            |raw| {
+        let results = self.engine.try_map_indexed(
+            raws.len(),
+            |i| {
                 let mut local = template.clone();
                 local.reset_counters();
-                let fc = local.transform_chunk(raw);
+                let fc = local.transform_chunk(&raws[i]);
                 (fc, local.counters())
             },
-            &*hook,
-            &self.metrics,
-            &self.tracer,
-            self.trace_scope,
+            &TaskCtx {
+                hook: &*self.hook,
+                metrics: &self.metrics,
+                tracer: &self.tracer,
+                parent: self.trace_scope,
+            },
         )?;
         let mut out = Vec::with_capacity(results.len());
         for (fc, counters) in results {
@@ -441,8 +445,9 @@ impl PipelineManager {
     /// sources — never on the engine, worker count, or steal schedule.
     ///
     /// # Errors
-    /// [`EngineError::WorkerPanic`] when a worker dies beyond the engine's
-    /// restart budget; the model is untouched in that case.
+    /// [`EngineError`]: a worker panic beyond the engine's restart budget,
+    /// or a worker pool that could not be spawned; the model is untouched
+    /// in either case.
     pub fn try_proactive_step_fused(
         &mut self,
         sources: &[ProactiveSource],
@@ -465,10 +470,10 @@ impl PipelineManager {
         // not consume an epoch — exactly as the pre-fused path, where only
         // `try_rematerialize_many` consulted the hook.
         let rematerializes = sources.iter().any(|s| matches!(s, ProactiveSource::Raw(_)));
-        let hook: Arc<dyn FaultHook> = if rematerializes {
-            Arc::clone(&self.hook)
+        let hook: &dyn FaultHook = if rematerializes {
+            &*self.hook
         } else {
-            Arc::new(NoFaults)
+            &NoFaults
         };
         // Transform work happens on pipeline clones inside engine tasks;
         // their counters land here (one write per source, re-runs after an
@@ -494,10 +499,12 @@ impl PipelineManager {
                 }
             },
             self.engine,
-            &*hook,
-            &self.metrics,
-            &self.tracer,
-            self.trace_scope,
+            &TaskCtx {
+                hook,
+                metrics: &self.metrics,
+                tracer: &self.tracer,
+                parent: self.trace_scope,
+            },
         )?;
         for slot in counter_slots {
             if let Some(counters) = slot.into_inner() {

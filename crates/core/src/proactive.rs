@@ -74,8 +74,8 @@ impl ProactiveTrainer {
     /// faults during batched re-materialization as typed errors.
     ///
     /// # Errors
-    /// [`EngineError::WorkerPanic`] when a worker dies beyond the restart
-    /// budget during re-materialization.
+    /// [`EngineError`] during re-materialization: a worker panic beyond the
+    /// restart budget, or a worker pool that could not be spawned.
     pub fn try_execute(
         &self,
         pm: &mut PipelineManager,

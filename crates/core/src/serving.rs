@@ -22,8 +22,8 @@
 //!   enqueueing thread) or when its oldest entry exceeds `max_delay_secs`
 //!   (a deadline flush, from [`ModelServer::flush_due`] or the background
 //!   [`FlusherHandle`]); the whole batch is scored against **one** snapshot
-//!   through [`ExecutionEngine::map_indexed`]-style indexed maps, reusing
-//!   the work-stealing pool.
+//!   through [`ExecutionEngine::try_map_indexed`], reusing the
+//!   work-stealing pool.
 //! * **Routing** — a [`ServingRouter`] multiplexes many concurrent
 //!   deployments over one engine with per-route latency histograms,
 //!   queue-depth gauges, and the `serving.*` SLA alert rules
@@ -35,7 +35,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-use cdp_engine::ExecutionEngine;
+use cdp_engine::{ExecutionEngine, TaskCtx};
 use cdp_faults::{FaultHook, NoFaults};
 use cdp_ml::LinearModel;
 use cdp_obs::{Alert, AlertMonitor, Clock, Counter, Gauge, Histogram, Metrics, WallClock};
@@ -372,6 +372,18 @@ struct ServerInner {
     batch_failed: AtomicU64,
 }
 
+impl ServerInner {
+    /// Scoring runs outside any deployment span tree: the server's hook and
+    /// metrics, no tracer.
+    fn task_ctx(&self) -> TaskCtx<'_> {
+        TaskCtx {
+            hook: &*self.hook,
+            metrics: &self.metrics,
+            ..TaskCtx::plain()
+        }
+    }
+}
+
 /// A sharded, lock-free serving front over a deployed pipeline + model.
 ///
 /// Cloning the server is cheap (it is an `Arc` handle); clones share the
@@ -657,11 +669,10 @@ impl ModelServer {
             .fetch_add(records.len() as u64, Ordering::Relaxed);
         self.inner
             .engine
-            .try_map_indexed_with_hook(
+            .try_map_indexed(
                 records.len(),
                 |i| score_raw(snap, &records[i]),
-                &*self.inner.hook,
-                &self.inner.metrics,
+                &self.inner.task_ctx(),
             )
             .ok()
     }
@@ -813,11 +824,10 @@ impl ModelServer {
         let scored = self
             .inner
             .engine
-            .try_map_indexed_with_hook(
+            .try_map_indexed(
                 records.len(),
                 |i| score_raw(&snap, records[i]),
-                &*self.inner.hook,
-                &self.inner.metrics,
+                &self.inner.task_ctx(),
             )
             .ok();
         match scored {

@@ -21,25 +21,29 @@
 //! to the host's spare parallelism. With tracing enabled every unit runs on
 //! pool threads instead, so the span tree reliably crosses threads.
 //!
-//! Zero-copy variants ([`ExecutionEngine::map_slice`],
-//! [`ExecutionEngine::map_parts`], [`ExecutionEngine::map_indexed`] and
-//! their traced/hooked tiers) borrow the input instead of taking `Vec<T>` by
-//! value, so hot-path callers shard by index range rather than copying items
-//! into per-shard vectors.
+//! Every caller needs one operation: run `f(i)` for each `i in 0..n` and get
+//! the outputs back in index order. [`ExecutionEngine::try_map_indexed`] is
+//! that operation; a [`TaskCtx`] carries its fault hook, metrics, tracer and
+//! trace parent. Two conveniences sit on the same scheduling path:
+//! [`ExecutionEngine::map_indexed`] re-raises a failing unit's original
+//! panic instead of returning an error, and [`ExecutionEngine::map`] moves
+//! owned items (such as disjoint `&mut` ranges) into the units. Callers
+//! shard borrowed data by index range rather than copying items into
+//! per-shard vectors.
 //!
-//! Determinism contract: every map variant writes each output into its own
-//! index slot, so input order is preserved no matter which participant ran
-//! which unit; [`ExecutionEngine::map_reduce`] folds in input order, and
-//! [`tree_reduce`] combines partial results in a fixed shape that depends
-//! only on the number of parts — never on worker count or scheduling — so
-//! floating-point results are bit-identical across engines. Scheduling
-//! observables that *are* timing-dependent (`engine.steal`,
+//! Determinism contract: every map writes each output into its own index
+//! slot, so input order is preserved no matter which participant ran which
+//! unit, and [`tree_reduce`] combines partial results in a fixed shape that
+//! depends only on the number of parts — never on worker count or
+//! scheduling — so floating-point results are bit-identical across engines.
+//! Scheduling observables that *are* timing-dependent (`engine.steal`,
 //! `engine.barrier_wait_secs`) are recorded as histograms, never as
 //! deterministic counters.
 
 #![warn(missing_docs)]
 
 use std::any::Any;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
@@ -55,9 +59,8 @@ use crossbeam::channel::{self, Sender};
 /// Every engine mutex guards simple scalar state (a registry map, a done
 /// flag, a panic slot) that stays consistent even when the holder unwinds
 /// mid-critical-section, so poisoning carries no information here.
-/// Propagating it instead (the old `.expect(...)`) crashed the deployment
-/// thread on the very fault PR 2's worker-restart machinery exists to
-/// absorb.
+/// Propagating the poison instead would crash the deployment thread on the
+/// very fault the worker-restart machinery exists to absorb.
 fn lock_ignore_poison<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -80,7 +83,9 @@ struct WorkerPool {
 }
 
 impl WorkerPool {
-    fn new(workers: usize) -> Self {
+    /// Spawns `workers` threads. If one fails to spawn, the ones already
+    /// running exit as soon as the error drops the pool's only sender.
+    fn new(workers: usize) -> std::io::Result<Self> {
         let (sender, receiver) = channel::unbounded::<Job>();
         for i in 0..workers {
             let receiver = receiver.clone();
@@ -93,22 +98,26 @@ impl WorkerPool {
                     while let Ok(job) = receiver.recv() {
                         job();
                     }
-                })
-                .expect("spawn engine worker");
+                })?;
         }
-        Self { sender }
+        Ok(Self { sender })
     }
 
     /// The process-wide pool for `workers` threads (created on first use).
-    fn global(workers: usize) -> Arc<WorkerPool> {
+    /// A pool that could not spawn all its threads is never cached, so a
+    /// later call tries again.
+    fn global(workers: usize) -> Result<Arc<WorkerPool>, EngineError> {
         static POOLS: OnceLock<Mutex<HashMap<usize, Arc<WorkerPool>>>> = OnceLock::new();
         let registry = POOLS.get_or_init(|| Mutex::new(HashMap::new()));
         let mut registry = lock_ignore_poison(registry);
-        Arc::clone(
-            registry
-                .entry(workers)
-                .or_insert_with(|| Arc::new(WorkerPool::new(workers))),
-        )
+        Ok(Arc::clone(match registry.entry(workers) {
+            Entry::Occupied(pool) => pool.into_mut(),
+            Entry::Vacant(slot) => {
+                let pool = WorkerPool::new(workers)
+                    .map_err(|err| EngineError::WorkerSpawn(err.to_string()))?;
+                slot.insert(Arc::new(pool))
+            }
+        }))
     }
 }
 
@@ -328,9 +337,12 @@ impl<T> SharedTake<T> {
     /// Moves item `i` out. Caller must hold the exclusive unit claim
     /// covering index `i`.
     unsafe fn take(&self, i: usize) -> T {
-        (*self.ptr.add(i))
-            .take()
-            .expect("each input slot is taken exactly once")
+        match (*self.ptr.add(i)).take() {
+            Some(item) => item,
+            // Invariant: every slot is filled before the map starts, and
+            // only the one claim covering index `i` ever takes it.
+            None => unreachable!("each input slot is taken exactly once"),
+        }
     }
 }
 
@@ -340,12 +352,16 @@ pub enum EngineError {
     /// A worker panicked and (for injected panics) exhausted its restart
     /// budget; carries the panic message.
     WorkerPanic(String),
+    /// The worker pool's threads could not be spawned; carries the OS
+    /// error. Nothing ran.
+    WorkerSpawn(String),
 }
 
 impl fmt::Display for EngineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             EngineError::WorkerPanic(msg) => write!(f, "worker panic: {msg}"),
+            EngineError::WorkerSpawn(msg) => write!(f, "worker spawn failed: {msg}"),
         }
     }
 }
@@ -354,6 +370,10 @@ impl std::error::Error for EngineError {}
 
 impl EngineError {
     fn from_payload(payload: Box<dyn Any + Send>) -> Self {
+        let payload = match payload.downcast::<EngineError>() {
+            Ok(err) => return *err,
+            Err(payload) => payload,
+        };
         if payload.downcast_ref::<InjectedWorkerPanic>().is_some() {
             EngineError::WorkerPanic("injected worker panic exhausted restarts".to_owned())
         } else if let Some(msg) = payload.downcast_ref::<String>() {
@@ -386,25 +406,44 @@ fn install_quiet_panic_hook() {
     });
 }
 
-/// Physically acts out the retryable part of a worker-fault order: each
-/// injected panic is a *real* `panic_any` unwind caught right here, exactly
-/// what a supervisor restarting a crashed worker observes. Returns `Err`
-/// when the order exceeds the restart budget (the fatal case).
+/// Order bookkeeping done once per call: restart metrics and the quiet
+/// panic hook for injected unwinds.
+fn record_order(order: &WorkerOrder, metrics: &Metrics) {
+    if order.panics > 0 {
+        install_quiet_panic_hook();
+        metrics
+            .counter("engine.worker_restarts")
+            .add(u64::from(order.panics.min(MAX_WORKER_RESTARTS)));
+        metrics.event(
+            "engine.worker_panic",
+            format!("injected panics: {}", order.panics),
+        );
+    }
+}
+
+/// Physically acts out a worker-fault order at its target unit's entry:
+/// each injected panic is a *real* `panic_any` unwind caught right here,
+/// exactly what a supervisor restarting a crashed worker observes, under an
+/// `engine.restart` span. An order beyond the restart budget unwinds out of
+/// the unit (the fatal case); otherwise its latency is slept.
 ///
-/// Injected panics always fire at unit entry — before any input item has
-/// been consumed — so a restart re-runs the unit from scratch with no items
-/// lost; this is what keeps results identical to the fault-free run.
-fn act_injected_panics(panics: u32) -> Result<(), EngineError> {
-    for _ in 0..panics.min(MAX_WORKER_RESTARTS) {
-        let unwound = panic::catch_unwind(|| panic::panic_any(InjectedWorkerPanic));
-        debug_assert!(unwound.is_err());
+/// The order is acted out before the unit consumes any input, so a restart
+/// re-runs the unit from scratch with no items lost; this is what keeps
+/// results identical to the fault-free run.
+fn act_order(order: &WorkerOrder, tracer: &Tracer, task: Option<SpanContext>) {
+    if order.panics > 0 {
+        let _restart_span = tracer.child_of("engine.restart", task);
+        for _ in 0..order.panics.min(MAX_WORKER_RESTARTS) {
+            let unwound = panic::catch_unwind(|| panic::panic_any(InjectedWorkerPanic));
+            debug_assert!(unwound.is_err());
+        }
+        if order.panics > MAX_WORKER_RESTARTS {
+            panic::panic_any(InjectedWorkerPanic);
+        }
     }
-    if panics > MAX_WORKER_RESTARTS {
-        return Err(EngineError::WorkerPanic(
-            "injected worker panic exhausted restarts".to_owned(),
-        ));
+    if !order.delay.is_zero() {
+        std::thread::sleep(order.delay);
     }
-    Ok(())
 }
 
 /// Runs the work-stealing loop for `units` units: enlists up to `workers`
@@ -412,14 +451,15 @@ fn act_injected_panics(panics: u32) -> Result<(), EngineError> {
 /// path, where the submitting thread is participant 0), waits for the
 /// completion count, then closes the scope so no pool job can still touch
 /// the caller's stack. Returns the steal count and the panic payload of the
-/// lowest-indexed unit that panicked, if any.
+/// lowest-indexed unit that panicked, if any; fails before running anything
+/// when the pool cannot be spawned.
 fn run_stealing(
     workers: usize,
     units: usize,
     run_unit: &(dyn Fn(usize) + Sync),
     metrics: &Metrics,
     tracer: &Tracer,
-) -> (u64, Option<Box<dyn Any + Send>>) {
+) -> Result<(u64, Option<Box<dyn Any + Send>>), EngineError> {
     // With tracing enabled, hand every unit to pool threads so the span
     // tree reliably crosses threads (the observability contract the trace
     // tests pin down). Untraced — the perf path — the caller participates,
@@ -434,7 +474,7 @@ fn run_stealing(
     let ctrl = Arc::new(Control::new(units, queues));
 
     if helpers > 0 {
-        let pool = WorkerPool::global(workers);
+        let pool = WorkerPool::global(workers)?;
         // SAFETY: the transmute only erases the lifetime of the borrow; the
         // fat pointer (data + vtable) is unchanged. The close/guard
         // handshake below guarantees no pool job dereferences it after this
@@ -456,9 +496,12 @@ fn run_stealing(
                 }
                 ctrl.guards.fetch_sub(1, Ordering::SeqCst);
             });
-            pool.sender
-                .send(job)
-                .expect("engine workers never disconnect");
+            if pool.sender.send(job).is_err() {
+                // Invariant: every pool thread holds a receiver and never
+                // exits while the cached pool holds the sender, because
+                // `participate` catches every unit panic.
+                unreachable!("engine workers never disconnect");
+            }
         }
     }
     if caller_participates {
@@ -482,21 +525,19 @@ fn run_stealing(
         std::thread::yield_now();
     }
     let payload = lock_ignore_poison(&ctrl.panic).take().map(|(_, p)| p);
-    (ctrl.steals.load(Ordering::Relaxed), payload)
+    Ok((ctrl.steals.load(Ordering::Relaxed), payload))
 }
 
-/// Threaded body shared by every map variant: cuts `[0, n)` into contiguous
-/// units, runs `exec(i)` for every index through the stealing scheduler
-/// (with one `engine.task` span per unit and the fault order, if any, acted
-/// out at its target unit's entry), and collects outputs in input order.
-#[allow(clippy::too_many_arguments)]
+/// Threaded body of every map: cuts `[0, n)` into contiguous units, runs
+/// `exec(i)` for every index through the stealing scheduler (with one
+/// `engine.task` span per unit and the fault order acted out at its target
+/// unit's entry), and collects outputs in input order.
 fn threaded_exec<U, E>(
     workers: usize,
     n: usize,
     exec: E,
-    order: Option<&WorkerOrder>,
-    metrics: &Metrics,
-    tracer: &Tracer,
+    order: &WorkerOrder,
+    ctx: &TaskCtx<'_>,
     map_ctx: Option<SpanContext>,
 ) -> Result<Vec<U>, Box<dyn Any + Send>>
 where
@@ -504,6 +545,7 @@ where
     E: Fn(usize) -> U + Sync,
 {
     debug_assert!(n > 0);
+    let (metrics, tracer) = (ctx.metrics, ctx.tracer);
     let workers = workers.max(1);
     let max_units = ((workers + 1) * UNITS_PER_PARTICIPANT).min(n);
     let unit_len = n.div_ceil(max_units);
@@ -512,7 +554,7 @@ where
     metrics
         .histogram("engine.queue_depth")
         .observe(units as f64);
-    let target = order.map(|o| (o.target % units as u64) as usize);
+    let target = (order.target % units as u64) as usize;
 
     let mut outputs: Vec<Option<U>> = Vec::with_capacity(n);
     outputs.resize_with(n, || None);
@@ -523,19 +565,8 @@ where
     let exec = &exec;
     let run_unit = move |unit: usize| {
         let task_span = tracer.child_of("engine.task", map_ctx);
-        if Some(unit) == target {
-            let order = order.expect("target exists only with an order");
-            if order.panics > 0 {
-                let _restart_span = tracer.child_of("engine.restart", task_span.context());
-                if let Err(_fatal) = act_injected_panics(order.panics) {
-                    // Propagate the fatal injected panic through the
-                    // participant's catch_unwind so the caller sees it.
-                    panic::panic_any(InjectedWorkerPanic);
-                }
-            }
-            if !order.delay.is_zero() {
-                std::thread::sleep(order.delay);
-            }
+        if unit == target {
+            act_order(order, tracer, task_span.context());
         }
         let lo = unit * unit_len;
         let hi = n.min(lo + unit_len);
@@ -545,23 +576,52 @@ where
             unsafe { slots.set(i, exec(i)) };
         }
     };
-    let (steals, payload) = run_stealing(workers, units, &run_unit, metrics, tracer);
+    let (steals, payload) = match run_stealing(workers, units, &run_unit, metrics, tracer) {
+        Ok(done) => done,
+        Err(err) => return Err(Box::new(err)),
+    };
     metrics.histogram("engine.steal").observe(steals as f64);
     match payload {
         None => Ok(outputs
             .into_iter()
-            .map(|slot| slot.expect("every claimed unit writes its whole index range"))
+            .map(|slot| match slot {
+                Some(out) => out,
+                // Invariant: no unit panicked and the completion count
+                // reached `units`, so every unit wrote its whole range.
+                None => unreachable!("every claimed unit writes its whole index range"),
+            })
             .collect()),
         Some(payload) => Err(payload),
     }
 }
 
-/// Records the empty-map observations so per-call metric invariants
-/// (`queue_depth.count == steal.count == map_calls` on threaded engines)
-/// hold even for maps with nothing to do.
-fn observe_empty_threaded(metrics: &Metrics) {
-    metrics.histogram("engine.queue_depth").observe(0.0);
-    metrics.histogram("engine.steal").observe(0.0);
+/// What one engine call runs under: the fault hook its [`WorkerOrder`] is
+/// drawn from, the metrics and tracer it records into, and the span its
+/// `engine.map` hangs under.
+#[derive(Debug, Clone, Copy)]
+pub struct TaskCtx<'a> {
+    /// Source of the call's worker-fault order.
+    pub hook: &'a dyn FaultHook,
+    /// Sink for the `engine.*` metrics.
+    pub metrics: &'a Metrics,
+    /// Sink for the `engine.map` / `engine.task` / `engine.restart` spans.
+    pub tracer: &'a Tracer,
+    /// Parent of the call's `engine.map` span.
+    pub parent: Option<SpanContext>,
+}
+
+impl TaskCtx<'static> {
+    /// No faults, disabled metrics and tracer, no parent.
+    pub fn plain() -> Self {
+        static METRICS: Metrics = Metrics::disabled();
+        static TRACER: Tracer = Tracer::disabled();
+        Self {
+            hook: &NoFaults,
+            metrics: &METRICS,
+            tracer: &TRACER,
+            parent: None,
+        }
+    }
 }
 
 /// A chunk-parallel execution engine.
@@ -603,492 +663,141 @@ impl ExecutionEngine {
         }
     }
 
-    /// Applies `f` to every item, returning outputs in input order.
+    /// Runs `f(i)` for every `i in 0..n` and returns the outputs in index
+    /// order: the engine's general entry point.
     ///
-    /// `f` must be `Sync` because participants share it. Items are cut into
-    /// contiguous units (a few per participant) scheduled by work-stealing,
-    /// so per-item cost imbalance is load-balanced; each output is written
-    /// into its own index slot, so results need no locking and arrive in
-    /// input order.
+    /// `f` must be `Sync` because participants share it. The index space is
+    /// cut into contiguous units (a few per participant) scheduled by
+    /// work-stealing, so per-item cost imbalance is load-balanced; each
+    /// output is written into its own index slot, so results need no
+    /// locking and arrive in index order. Borrowed inputs are read as
+    /// `items[i]`, contiguous parts as index ranges.
+    ///
+    /// `ctx` supplies the rest:
+    /// - one [`WorkerOrder`] is drawn from `ctx.hook` per call, so injected
+    ///   counts are independent of worker count. The targeted unit suffers
+    ///   the ordered injected panics (real unwinds, restarted in place up to
+    ///   [`MAX_WORKER_RESTARTS`] times) and latency before producing its
+    ///   outputs. The hook does the accounting and the engine only acts the
+    ///   order out, which keeps results and [`cdp_faults::FaultStats`]
+    ///   identical across `Sequential` and any `Threaded` worker count;
+    /// - `ctx.metrics` records `engine.map_calls`, `engine.tasks` (units
+    ///   scheduled), `engine.map_secs`, `engine.worker_restarts` and, on
+    ///   threaded engines, `engine.barrier_wait_secs` (the caller's
+    ///   completion wait), `engine.queue_depth` and `engine.steal`;
+    /// - `ctx.tracer` records an `engine.map` span under `ctx.parent`, one
+    ///   `engine.task` child per unit *on the thread executing it* (so the
+    ///   trace tree spans threads), and an `engine.restart` span under the
+    ///   targeted unit's task covering its injected panics.
+    ///
+    /// # Errors
+    /// [`EngineError::WorkerPanic`] when `f` panics or the order exceeds the
+    /// restart budget (every unit still runs; the lowest-indexed failing
+    /// unit's panic is reported), and [`EngineError::WorkerSpawn`] when the
+    /// worker pool cannot be spawned.
+    pub fn try_map_indexed<U, F>(
+        &self,
+        n: usize,
+        f: F,
+        ctx: &TaskCtx<'_>,
+    ) -> Result<Vec<U>, EngineError>
+    where
+        U: Send,
+        F: Fn(usize) -> U + Sync,
+    {
+        self.run(n, f, ctx).map_err(EngineError::from_payload)
+    }
+
+    /// [`ExecutionEngine::try_map_indexed`] for callers with nothing to
+    /// recover.
     ///
     /// # Panics
-    /// If `f` panics on any item, the payload of the lowest-indexed
-    /// panicking unit is re-raised on the calling thread once every unit
-    /// has run.
+    /// Re-raises the original panic payload of the lowest-indexed failing
+    /// unit on the calling thread once every unit has run, and panics with
+    /// the [`EngineError`]'s message when the pool cannot be spawned.
+    pub fn map_indexed<U, F>(&self, n: usize, f: F, ctx: &TaskCtx<'_>) -> Vec<U>
+    where
+        U: Send,
+        F: Fn(usize) -> U + Sync,
+    {
+        match self.run(n, f, ctx) {
+            Ok(out) => out,
+            // An engine failure of its own (not a unit's panic) is raised
+            // through the panic hook so an uncaught one still says why;
+            // `resume_unwind` would skip the hook and print nothing.
+            Err(payload) => match payload.downcast::<EngineError>() {
+                Ok(err) => panic!("{err}"),
+                Err(payload) => panic::resume_unwind(payload),
+            },
+        }
+    }
+
+    /// Moves every item into `f` — for inputs that cannot be shared, such
+    /// as disjoint `&mut` ranges of one buffer — and returns the outputs in
+    /// input order, with no fault hook, metrics or spans. The sequential
+    /// engine runs a plain loop.
+    ///
+    /// # Panics
+    /// As [`ExecutionEngine::map_indexed`].
     pub fn map<T, U, F>(&self, items: Vec<T>, f: F) -> Vec<U>
     where
         T: Send,
         U: Send,
         F: Fn(T) -> U + Sync,
     {
-        self.map_observed(items, f, &Metrics::disabled())
-    }
-
-    /// [`ExecutionEngine::map`] with engine metrics recorded into
-    /// `metrics`: `engine.map_calls`, `engine.tasks` (units scheduled),
-    /// `engine.map_secs`, and (threaded) `engine.barrier_wait_secs` (the
-    /// caller's completion wait), `engine.queue_depth`, `engine.steal`.
-    pub fn map_observed<T, U, F>(&self, items: Vec<T>, f: F, metrics: &Metrics) -> Vec<U>
-    where
-        T: Send,
-        U: Send,
-        F: Fn(T) -> U + Sync,
-    {
-        self.map_traced(items, f, metrics, &Tracer::disabled(), None)
-    }
-
-    /// [`ExecutionEngine::map_observed`] with causal spans: opens an
-    /// `engine.map` span under `parent` and one `engine.task` child per
-    /// unit *on the thread executing it*, so the trace tree spans threads
-    /// ([`SpanContext`] is `Copy` and crosses into pool tasks).
-    pub fn map_traced<T, U, F>(
-        &self,
-        items: Vec<T>,
-        f: F,
-        metrics: &Metrics,
-        tracer: &Tracer,
-        parent: Option<SpanContext>,
-    ) -> Vec<U>
-    where
-        T: Send,
-        U: Send,
-        F: Fn(T) -> U + Sync,
-    {
-        let map_span = tracer.child_of("engine.map", parent);
-        let map_ctx = map_span.context();
-        let _map_span_secs = metrics.span("engine.map_secs");
-        metrics.counter("engine.map_calls").inc();
-        match *self {
-            ExecutionEngine::Sequential => {
-                metrics.counter("engine.tasks").add(1);
-                let _task_span = tracer.child_of("engine.task", map_ctx);
-                items.into_iter().map(f).collect()
-            }
-            ExecutionEngine::Threaded { workers } => {
-                let n = items.len();
-                if n == 0 {
-                    observe_empty_threaded(metrics);
-                    return Vec::new();
-                }
-                let mut staged: Vec<Option<T>> = items.into_iter().map(Some).collect();
-                let take = SharedTake {
-                    ptr: staged.as_mut_ptr(),
-                };
-                let f = &f;
-                // SAFETY (take): each index belongs to exactly one claimed
-                // unit, so each input slot is taken once, never concurrently.
-                let exec = move |i: usize| f(unsafe { take.take(i) });
-                match threaded_exec(workers, n, exec, None, metrics, tracer, map_ctx) {
-                    Ok(out) => out,
-                    Err(payload) => panic::resume_unwind(payload),
-                }
-            }
+        if *self == ExecutionEngine::Sequential {
+            return items.into_iter().map(f).collect();
         }
+        let n = items.len();
+        let mut staged: Vec<Option<T>> = items.into_iter().map(Some).collect();
+        let take = SharedTake {
+            ptr: staged.as_mut_ptr(),
+        };
+        // SAFETY (take): each index belongs to exactly one claimed unit, so
+        // each input slot is taken once, never concurrently.
+        self.map_indexed(n, |i| f(unsafe { take.take(i) }), &TaskCtx::plain())
     }
 
-    /// Borrowing variant of [`ExecutionEngine::map`]: shares `items` across
-    /// participants instead of moving them, so hot-path callers need no
-    /// per-shard `to_vec` copies.
-    pub fn map_slice<T, U, F>(&self, items: &[T], f: F) -> Vec<U>
-    where
-        T: Sync,
-        U: Send,
-        F: Fn(&T) -> U + Sync,
-    {
-        self.map_slice_traced(items, f, &Metrics::disabled(), &Tracer::disabled(), None)
-    }
-
-    /// [`ExecutionEngine::map_slice`] with metrics and causal spans (same
-    /// scheme as [`ExecutionEngine::map_traced`]).
-    pub fn map_slice_traced<T, U, F>(
-        &self,
-        items: &[T],
-        f: F,
-        metrics: &Metrics,
-        tracer: &Tracer,
-        parent: Option<SpanContext>,
-    ) -> Vec<U>
-    where
-        T: Sync,
-        U: Send,
-        F: Fn(&T) -> U + Sync,
-    {
-        let map_span = tracer.child_of("engine.map", parent);
-        let map_ctx = map_span.context();
-        let _map_span_secs = metrics.span("engine.map_secs");
-        metrics.counter("engine.map_calls").inc();
-        match *self {
-            ExecutionEngine::Sequential => {
-                metrics.counter("engine.tasks").add(1);
-                let _task_span = tracer.child_of("engine.task", map_ctx);
-                items.iter().map(f).collect()
-            }
-            ExecutionEngine::Threaded { workers } => {
-                let n = items.len();
-                if n == 0 {
-                    observe_empty_threaded(metrics);
-                    return Vec::new();
-                }
-                let f = &f;
-                let exec = move |i: usize| f(&items[i]);
-                match threaded_exec(workers, n, exec, None, metrics, tracer, map_ctx) {
-                    Ok(out) => out,
-                    Err(payload) => panic::resume_unwind(payload),
-                }
-            }
-        }
-    }
-
-    /// Maps `f` over contiguous parts of `items` of length `part_len` (the
-    /// last part may be shorter), returning one output per part in part
-    /// order. This is the zero-copy replacement for callers that used to
-    /// build `Vec<Vec<T>>` shards: part boundaries are pure index
-    /// arithmetic, so the shard structure — and therefore any
-    /// floating-point reduction over the outputs — is identical on every
-    /// engine.
-    pub fn map_parts<T, U, F>(&self, items: &[T], part_len: usize, f: F) -> Vec<U>
-    where
-        T: Sync,
-        U: Send,
-        F: Fn(&[T]) -> U + Sync,
-    {
-        self.map_parts_traced(
-            items,
-            part_len,
-            f,
-            &Metrics::disabled(),
-            &Tracer::disabled(),
-            None,
-        )
-    }
-
-    /// [`ExecutionEngine::map_parts`] with metrics and causal spans.
-    pub fn map_parts_traced<T, U, F>(
-        &self,
-        items: &[T],
-        part_len: usize,
-        f: F,
-        metrics: &Metrics,
-        tracer: &Tracer,
-        parent: Option<SpanContext>,
-    ) -> Vec<U>
-    where
-        T: Sync,
-        U: Send,
-        F: Fn(&[T]) -> U + Sync,
-    {
-        assert!(part_len > 0, "part_len must be ≥ 1");
-        let map_span = tracer.child_of("engine.map", parent);
-        let map_ctx = map_span.context();
-        let _map_span_secs = metrics.span("engine.map_secs");
-        metrics.counter("engine.map_calls").inc();
-        let parts = items.len().div_ceil(part_len);
-        let part = |p: usize| &items[p * part_len..items.len().min((p + 1) * part_len)];
-        match *self {
-            ExecutionEngine::Sequential => {
-                metrics.counter("engine.tasks").add(1);
-                let _task_span = tracer.child_of("engine.task", map_ctx);
-                (0..parts).map(|p| f(part(p))).collect()
-            }
-            ExecutionEngine::Threaded { workers } => {
-                if parts == 0 {
-                    observe_empty_threaded(metrics);
-                    return Vec::new();
-                }
-                let f = &f;
-                let exec = move |p: usize| f(part(p));
-                match threaded_exec(workers, parts, exec, None, metrics, tracer, map_ctx) {
-                    Ok(out) => out,
-                    Err(payload) => panic::resume_unwind(payload),
-                }
-            }
-        }
-    }
-
-    /// Maps `f` over the index space `0..n` — the fully zero-copy variant
-    /// for callers whose items live in structures the engine need not know
-    /// about (the fused transform+gradient pass maps over *source indices*
-    /// and never materializes an input vector at all).
-    pub fn map_indexed<U, F>(&self, n: usize, f: F) -> Vec<U>
+    /// The one scheduling path under every public map: opens the call's
+    /// span and metrics, draws and acts out its fault order, and returns the
+    /// outputs or the lowest-indexed failing unit's original panic payload.
+    fn run<U, F>(&self, n: usize, f: F, ctx: &TaskCtx<'_>) -> Result<Vec<U>, Box<dyn Any + Send>>
     where
         U: Send,
         F: Fn(usize) -> U + Sync,
     {
-        match self.try_map_indexed_with_hook_traced(
-            n,
-            f,
-            &NoFaults,
-            &Metrics::disabled(),
-            &Tracer::disabled(),
-            None,
-        ) {
-            Ok(out) => out,
-            Err(err) => panic!("{err}"),
-        }
-    }
-
-    /// Fallible, fault-aware indexed map without tracing — the serving
-    /// layer's batch-scoring entry point, where queries arrive outside any
-    /// deployment span tree.
-    pub fn try_map_indexed_with_hook<U, F>(
-        &self,
-        n: usize,
-        f: F,
-        hook: &dyn FaultHook,
-        metrics: &Metrics,
-    ) -> Result<Vec<U>, EngineError>
-    where
-        U: Send,
-        F: Fn(usize) -> U + Sync,
-    {
-        self.try_map_indexed_with_hook_traced(n, f, hook, metrics, &Tracer::disabled(), None)
-    }
-
-    /// Fallible, fault-aware, traced indexed map: the most general engine
-    /// entry point. Draws one [`WorkerOrder`] from `hook` (exactly one per
-    /// call, so injected counts are independent of worker count), acts it
-    /// out at the targeted unit's entry, and converts any unrecovered
-    /// worker panic — injected-fatal or genuine — into [`EngineError`].
-    pub fn try_map_indexed_with_hook_traced<U, F>(
-        &self,
-        n: usize,
-        f: F,
-        hook: &dyn FaultHook,
-        metrics: &Metrics,
-        tracer: &Tracer,
-        parent: Option<SpanContext>,
-    ) -> Result<Vec<U>, EngineError>
-    where
-        U: Send,
-        F: Fn(usize) -> U + Sync,
-    {
-        let map_span = tracer.child_of("engine.map", parent);
+        let map_span = ctx.tracer.child_of("engine.map", ctx.parent);
         let map_ctx = map_span.context();
-        let _map_span_secs = metrics.span("engine.map_secs");
-        metrics.counter("engine.map_calls").inc();
-        let order = hook.next_worker_order();
-        record_order(&order, metrics);
+        let _map_span_secs = ctx.metrics.span("engine.map_secs");
+        ctx.metrics.counter("engine.map_calls").inc();
+        let order = ctx.hook.next_worker_order();
+        record_order(&order, ctx.metrics);
         match *self {
             ExecutionEngine::Sequential => {
-                metrics.counter("engine.tasks").add(1);
-                let task_span = tracer.child_of("engine.task", map_ctx);
-                if order.panics > 0 {
-                    let _restart_span = tracer.child_of("engine.restart", task_span.context());
-                    act_injected_panics(order.panics)?;
+                ctx.metrics.counter("engine.tasks").add(1);
+                let task_span = ctx.tracer.child_of("engine.task", map_ctx);
+                panic::catch_unwind(AssertUnwindSafe(|| {
+                    act_order(&order, ctx.tracer, task_span.context());
+                    (0..n).map(f).collect()
+                }))
+            }
+            ExecutionEngine::Threaded { .. } if n == 0 => {
+                // Per-call observations still land, so
+                // `queue_depth.count == steal.count == map_calls` holds on
+                // threaded engines. There is no unit to act the order on; a
+                // fatal order still cannot lose work, so it alone fails.
+                ctx.metrics.histogram("engine.queue_depth").observe(0.0);
+                ctx.metrics.histogram("engine.steal").observe(0.0);
+                if order.panics > MAX_WORKER_RESTARTS {
+                    Err(Box::new(InjectedWorkerPanic))
+                } else {
+                    Ok(Vec::new())
                 }
-                if !order.delay.is_zero() {
-                    std::thread::sleep(order.delay);
-                }
-                panic::catch_unwind(AssertUnwindSafe(|| (0..n).map(&f).collect()))
-                    .map_err(EngineError::from_payload)
             }
             ExecutionEngine::Threaded { workers } => {
-                if n == 0 {
-                    observe_empty_threaded(metrics);
-                    return empty_map_with_order(&order);
-                }
-                threaded_exec(workers, n, &f, Some(&order), metrics, tracer, map_ctx)
-                    .map_err(EngineError::from_payload)
+                threaded_exec(workers, n, f, &order, ctx, map_ctx)
             }
         }
-    }
-
-    /// Like [`ExecutionEngine::map`], but converts worker panics into
-    /// [`EngineError`] instead of unwinding the calling thread.
-    pub fn try_map<T, U, F>(&self, items: Vec<T>, f: F) -> Result<Vec<U>, EngineError>
-    where
-        T: Send,
-        U: Send,
-        F: Fn(T) -> U + Sync,
-    {
-        self.try_map_with_hook(items, f, &NoFaults)
-    }
-
-    /// Like [`ExecutionEngine::map`], but consults `hook` for a
-    /// [`WorkerOrder`] first and acts it out: the targeted unit suffers the
-    /// ordered injected panics (real unwinds, restarted in place up to
-    /// [`MAX_WORKER_RESTARTS`] times) and latency before producing its
-    /// outputs.
-    ///
-    /// # Panics
-    /// If the order is fatal (panics beyond the restart budget) or `f`
-    /// itself panics.
-    pub fn map_with_hook<T, U, F>(&self, items: Vec<T>, f: F, hook: &dyn FaultHook) -> Vec<U>
-    where
-        T: Send,
-        U: Send,
-        F: Fn(T) -> U + Sync,
-    {
-        match self.try_map_with_hook(items, f, hook) {
-            Ok(out) => out,
-            Err(err) => panic!("{err}"),
-        }
-    }
-
-    /// Fallible, fault-aware map: draws one [`WorkerOrder`] from `hook`
-    /// (exactly one per call, so injected counts are independent of worker
-    /// count), acts it out on the targeted unit, and converts any
-    /// unrecovered worker panic — injected-fatal or genuine — into
-    /// [`EngineError`].
-    ///
-    /// The order's decisions and accounting both live in the hook; the
-    /// engine only *performs* them, which is what keeps results and
-    /// [`cdp_faults::FaultStats`] bit-identical across `Sequential` and any
-    /// `Threaded` worker count for the same fault seed.
-    pub fn try_map_with_hook<T, U, F>(
-        &self,
-        items: Vec<T>,
-        f: F,
-        hook: &dyn FaultHook,
-    ) -> Result<Vec<U>, EngineError>
-    where
-        T: Send,
-        U: Send,
-        F: Fn(T) -> U + Sync,
-    {
-        self.try_map_with_hook_observed(items, f, hook, &Metrics::disabled())
-    }
-
-    /// [`ExecutionEngine::try_map_with_hook`] with engine metrics recorded
-    /// into `metrics`. On top of the `map_observed` counters this tracks
-    /// `engine.worker_restarts` — the number of in-place restarts actually
-    /// performed for the drawn order (matching the retry accounting of
-    /// [`cdp_faults::FaultStats`]).
-    pub fn try_map_with_hook_observed<T, U, F>(
-        &self,
-        items: Vec<T>,
-        f: F,
-        hook: &dyn FaultHook,
-        metrics: &Metrics,
-    ) -> Result<Vec<U>, EngineError>
-    where
-        T: Send,
-        U: Send,
-        F: Fn(T) -> U + Sync,
-    {
-        self.try_map_with_hook_traced(items, f, hook, metrics, &Tracer::disabled(), None)
-    }
-
-    /// [`ExecutionEngine::try_map_with_hook_observed`] with causal spans:
-    /// like [`ExecutionEngine::map_traced`], plus an `engine.restart` span
-    /// under the targeted unit's `engine.task` covering the acted-out
-    /// injected panics, so recoveries are visible in the trace tree.
-    pub fn try_map_with_hook_traced<T, U, F>(
-        &self,
-        items: Vec<T>,
-        f: F,
-        hook: &dyn FaultHook,
-        metrics: &Metrics,
-        tracer: &Tracer,
-        parent: Option<SpanContext>,
-    ) -> Result<Vec<U>, EngineError>
-    where
-        T: Send,
-        U: Send,
-        F: Fn(T) -> U + Sync,
-    {
-        let map_span = tracer.child_of("engine.map", parent);
-        let map_ctx = map_span.context();
-        let _map_span_secs = metrics.span("engine.map_secs");
-        metrics.counter("engine.map_calls").inc();
-        let order = hook.next_worker_order();
-        record_order(&order, metrics);
-        match *self {
-            ExecutionEngine::Sequential => {
-                metrics.counter("engine.tasks").add(1);
-                let task_span = tracer.child_of("engine.task", map_ctx);
-                if order.panics > 0 {
-                    let _restart_span = tracer.child_of("engine.restart", task_span.context());
-                    act_injected_panics(order.panics)?;
-                }
-                if !order.delay.is_zero() {
-                    std::thread::sleep(order.delay);
-                }
-                panic::catch_unwind(AssertUnwindSafe(|| items.into_iter().map(f).collect()))
-                    .map_err(EngineError::from_payload)
-            }
-            ExecutionEngine::Threaded { workers } => {
-                let n = items.len();
-                if n == 0 {
-                    observe_empty_threaded(metrics);
-                    return empty_map_with_order(&order);
-                }
-                let mut staged: Vec<Option<T>> = items.into_iter().map(Some).collect();
-                let take = SharedTake {
-                    ptr: staged.as_mut_ptr(),
-                };
-                let f = &f;
-                // SAFETY (take): exclusive unit claims — see SharedTake.
-                let exec = move |i: usize| f(unsafe { take.take(i) });
-                threaded_exec(workers, n, exec, Some(&order), metrics, tracer, map_ctx)
-                    .map_err(EngineError::from_payload)
-            }
-        }
-    }
-
-    /// Borrowing, fallible, fault-aware, traced map — the zero-copy
-    /// workhorse of the re-materialization path: shares `items` across
-    /// participants and otherwise behaves exactly like
-    /// [`ExecutionEngine::try_map_with_hook_traced`].
-    pub fn try_map_slice_with_hook_traced<T, U, F>(
-        &self,
-        items: &[T],
-        f: F,
-        hook: &dyn FaultHook,
-        metrics: &Metrics,
-        tracer: &Tracer,
-        parent: Option<SpanContext>,
-    ) -> Result<Vec<U>, EngineError>
-    where
-        T: Sync,
-        U: Send,
-        F: Fn(&T) -> U + Sync,
-    {
-        self.try_map_indexed_with_hook_traced(
-            items.len(),
-            |i| f(&items[i]),
-            hook,
-            metrics,
-            tracer,
-            parent,
-        )
-    }
-
-    /// Maps then folds the outputs in input order (a deterministic reduce —
-    /// important for floating-point reproducibility across engines).
-    pub fn map_reduce<T, U, A, F, G>(&self, items: Vec<T>, f: F, init: A, g: G) -> A
-    where
-        T: Send,
-        U: Send,
-        F: Fn(T) -> U + Sync,
-        G: FnMut(A, U) -> A,
-    {
-        self.map(items, f).into_iter().fold(init, g)
-    }
-}
-
-/// Order bookkeeping shared by the hooked entry points: restart metrics and
-/// the quiet panic hook for injected unwinds.
-fn record_order(order: &WorkerOrder, metrics: &Metrics) {
-    if order.panics > 0 {
-        install_quiet_panic_hook();
-        metrics
-            .counter("engine.worker_restarts")
-            .add(u64::from(order.panics.min(MAX_WORKER_RESTARTS)));
-        metrics.event(
-            "engine.worker_panic",
-            format!("injected panics: {}", order.panics),
-        );
-    }
-}
-
-/// An empty hooked map has no unit to act the order on; a fatal order still
-/// cannot lose work, so it alone surfaces as an error.
-fn empty_map_with_order<U>(order: &WorkerOrder) -> Result<Vec<U>, EngineError> {
-    if order.panics > MAX_WORKER_RESTARTS {
-        act_injected_panics(order.panics).map(|()| Vec::new())
-    } else {
-        Ok(Vec::new())
     }
 }
 
@@ -1118,6 +827,22 @@ pub fn tree_reduce<U>(mut parts: Vec<U>, mut g: impl FnMut(U, U) -> U) -> Option
 mod tests {
     use super::*;
     use std::collections::HashSet;
+
+    const ENGINES: [ExecutionEngine; 3] = [
+        ExecutionEngine::Sequential,
+        ExecutionEngine::Threaded { workers: 1 },
+        ExecutionEngine::Threaded { workers: 4 },
+    ];
+
+    /// A context recording into `metrics` and `tracer` under `hook`.
+    fn ctx<'a>(hook: &'a dyn FaultHook, metrics: &'a Metrics, tracer: &'a Tracer) -> TaskCtx<'a> {
+        TaskCtx {
+            hook,
+            metrics,
+            tracer,
+            parent: None,
+        }
+    }
 
     #[test]
     fn sequential_and_threaded_agree() {
@@ -1153,29 +878,25 @@ mod tests {
     }
 
     #[test]
-    fn map_reduce_is_deterministic() {
-        let items: Vec<f64> = (0..1000).map(|i| f64::from(i) * 0.1).collect();
-        let a = ExecutionEngine::Sequential.map_reduce(
-            items.clone(),
-            |x| x * 1.5,
-            0.0,
-            |acc, x| acc + x,
-        );
-        let b = ExecutionEngine::Threaded { workers: 7 }.map_reduce(
-            items,
-            |x| x * 1.5,
-            0.0,
-            |acc, x| acc + x,
-        );
-        // Fold order is identical (input order), so sums match exactly.
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn moves_non_copy_items() {
         let items = vec![String::from("a"), String::from("bb")];
         let out = ExecutionEngine::Threaded { workers: 2 }.map(items, |s| s.len());
         assert_eq!(out, vec![1, 2]);
+    }
+
+    #[test]
+    fn owned_map_moves_disjoint_mut_ranges() {
+        // The optimizer's use: disjoint `&mut` ranges of one buffer.
+        for engine in ENGINES {
+            let mut buf: Vec<u64> = (0..100).collect();
+            let ranges: Vec<&mut [u64]> = buf.chunks_mut(7).collect();
+            let lens = engine.map(ranges, |range| {
+                range.iter_mut().for_each(|x| *x *= 2);
+                range.len()
+            });
+            assert_eq!(lens.iter().sum::<usize>(), 100);
+            assert_eq!(buf, (0..100).map(|x| x * 2).collect::<Vec<u64>>());
+        }
     }
 
     #[test]
@@ -1284,6 +1005,35 @@ mod tests {
     }
 
     #[test]
+    fn infallible_maps_reraise_the_original_payload_on_every_engine() {
+        // The lowest failing index wins, on the sequential engine (which
+        // stops at it) and the threaded ones (which run every unit) alike.
+        let expect_boom = |result: std::thread::Result<Vec<usize>>, engine: ExecutionEngine| {
+            let payload = result.expect_err("the worker panic must propagate");
+            let msg = payload
+                .downcast_ref::<String>()
+                .expect("panic! with a formatted message carries a String");
+            assert_eq!(msg, "boom 3", "engine {}", engine.name());
+        };
+        let f = |i: usize| {
+            if i == 3 || i == 40 {
+                panic!("boom {i}");
+            }
+            i
+        };
+        for engine in ENGINES {
+            expect_boom(
+                panic::catch_unwind(|| engine.map_indexed(64, f, &TaskCtx::plain())),
+                engine,
+            );
+            expect_boom(
+                panic::catch_unwind(|| engine.map((0..64).collect(), f)),
+                engine,
+            );
+        }
+    }
+
+    #[test]
     fn pool_survives_worker_panics() {
         let engine = ExecutionEngine::Threaded { workers: 2 };
         for round in 0..3 {
@@ -1304,18 +1054,23 @@ mod tests {
 
     #[test]
     fn try_map_converts_genuine_panics_to_errors() {
-        let err = ExecutionEngine::Threaded { workers: 2 }
-            .try_map((0..16u32).collect(), |x| {
-                if x == 9 {
-                    panic!("kaput {x}");
-                }
-                x
-            })
-            .expect_err("panicking task must error");
-        assert_eq!(err, EngineError::WorkerPanic("kaput 9".to_owned()));
-
-        let ok = ExecutionEngine::Sequential.try_map(vec![1, 2, 3], |x| x * 2);
-        assert_eq!(ok, Ok(vec![2, 4, 6]));
+        for engine in ENGINES {
+            let err = engine
+                .try_map_indexed(
+                    16,
+                    |x| {
+                        if x == 9 {
+                            panic!("kaput {x}");
+                        }
+                        x
+                    },
+                    &TaskCtx::plain(),
+                )
+                .expect_err("panicking task must error");
+            assert_eq!(err, EngineError::WorkerPanic("kaput 9".to_owned()));
+            let ok = engine.try_map_indexed(3, |x| x * 2, &TaskCtx::plain());
+            assert_eq!(ok, Ok(vec![0, 2, 4]));
+        }
     }
 
     /// Hook ordering a fixed number of injected panics at a fixed target.
@@ -1334,15 +1089,19 @@ mod tests {
 
     #[test]
     fn injected_panics_are_restarted_without_changing_results() {
-        let items: Vec<u64> = (0..200).collect();
-        let expected: Vec<u64> = items.iter().map(|x| x * 3).collect();
+        let expected: Vec<usize> = (0..200).map(|x| x * 3).collect();
+        let hook = PanicOrder(MAX_WORKER_RESTARTS);
+        let hooked = TaskCtx {
+            hook: &hook,
+            ..TaskCtx::plain()
+        };
         for engine in [
             ExecutionEngine::Sequential,
             ExecutionEngine::Threaded { workers: 2 },
             ExecutionEngine::Threaded { workers: 5 },
         ] {
             let out = engine
-                .try_map_with_hook(items.clone(), |x| x * 3, &PanicOrder(MAX_WORKER_RESTARTS))
+                .try_map_indexed(200, |x| x * 3, &hooked)
                 .expect("restartable order must recover");
             assert_eq!(out, expected, "engine {}", engine.name());
         }
@@ -1350,33 +1109,37 @@ mod tests {
 
     #[test]
     fn fatal_injected_order_is_an_error_not_a_process_panic() {
+        let hook = PanicOrder(MAX_WORKER_RESTARTS + 1);
+        let hooked = TaskCtx {
+            hook: &hook,
+            ..TaskCtx::plain()
+        };
         for engine in [
             ExecutionEngine::Sequential,
             ExecutionEngine::Threaded { workers: 3 },
         ] {
-            let err = engine
-                .try_map_with_hook(
-                    (0..64u64).collect(),
-                    |x| x,
-                    &PanicOrder(MAX_WORKER_RESTARTS + 1),
-                )
-                .expect_err("order beyond the restart budget is fatal");
-            assert!(matches!(err, EngineError::WorkerPanic(_)));
+            // An empty map has no unit to act on but still fails.
+            for n in [64, 0] {
+                let err = engine
+                    .try_map_indexed(n, |x| x, &hooked)
+                    .expect_err("order beyond the restart budget is fatal");
+                assert_eq!(
+                    err,
+                    EngineError::WorkerPanic("injected worker panic exhausted restarts".to_owned())
+                );
+            }
             // The pool keeps serving afterwards.
             assert_eq!(engine.map(vec![1, 2], |x| x + 1), vec![2, 3]);
         }
     }
 
     #[test]
-    fn map_with_hook_noop_hook_matches_map() {
+    fn noop_hook_matches_plain_map() {
         let items: Vec<u64> = (0..50).collect();
-        let plain = ExecutionEngine::Threaded { workers: 4 }.map(items.clone(), |x| x + 7);
-        let hooked = ExecutionEngine::Threaded { workers: 4 }.map_with_hook(
-            items,
-            |x| x + 7,
-            &cdp_faults::NoFaults,
-        );
-        assert_eq!(plain, hooked);
+        let engine = ExecutionEngine::Threaded { workers: 4 };
+        let plain = engine.map(items.clone(), |x| x + 7);
+        let hooked = engine.try_map_indexed(items.len(), |i| items[i] + 7, &TaskCtx::plain());
+        assert_eq!(Ok(plain), hooked);
     }
 
     /// A panic payload whose `Drop` panics — the worst case for the panic
@@ -1421,15 +1184,11 @@ mod tests {
     #[test]
     fn observed_map_records_engine_metrics() {
         let metrics = Metrics::collecting();
+        let tracer = Tracer::disabled();
         let engine = ExecutionEngine::Threaded { workers: 2 };
-        let out = engine.map_observed((0..32u64).collect(), |x| x * 2, &metrics);
+        let out = engine.map_indexed(32, |x| x * 2, &ctx(&NoFaults, &metrics, &tracer));
         assert_eq!(out.len(), 32);
-        let ok = engine.try_map_with_hook_observed(
-            (0..32u64).collect(),
-            |x| x,
-            &PanicOrder(2),
-            &metrics,
-        );
+        let ok = engine.try_map_indexed(32, |x| x, &ctx(&PanicOrder(2), &metrics, &tracer));
         assert!(ok.is_ok());
         let snap = metrics.snapshot();
         assert_eq!(snap.counter("engine.map_calls"), 2);
@@ -1445,20 +1204,28 @@ mod tests {
         assert!(depth.is_some_and(|h| h.count == 2 && h.sum == snap.counter("engine.tasks") as f64));
         let steals = snap.histogram("engine.steal");
         assert!(steals.is_some_and(|h| h.count == 2));
+
+        // The sequential engine counts one task per call and no scheduler
+        // observables.
+        let seq_metrics = Metrics::collecting();
+        ExecutionEngine::Sequential.map_indexed(32, |x| x, &ctx(&NoFaults, &seq_metrics, &tracer));
+        let snap = seq_metrics.snapshot();
+        assert_eq!(snap.counter("engine.map_calls"), 1);
+        assert_eq!(snap.counter("engine.tasks"), 1);
+        assert!(snap.histogram("engine.steal").is_none());
     }
 
     #[test]
     fn traced_map_builds_cross_thread_span_tree() {
         let tracer = Tracer::collecting();
         let root = tracer.root("caller");
-        let out = ExecutionEngine::Threaded { workers: 2 }.map_traced(
-            (0..64u64).collect(),
-            |x| x + 1,
-            &Metrics::disabled(),
-            &tracer,
-            root.context(),
-        );
-        assert_eq!(out, (1..=64).collect::<Vec<u64>>());
+        let traced = TaskCtx {
+            tracer: &tracer,
+            parent: root.context(),
+            ..TaskCtx::plain()
+        };
+        let out = ExecutionEngine::Threaded { workers: 2 }.map_indexed(64, |x| x + 1, &traced);
+        assert_eq!(out, (1..=64).collect::<Vec<usize>>());
         root.finish();
 
         let snap = tracer.snapshot();
@@ -1482,13 +1249,10 @@ mod tests {
             ExecutionEngine::Threaded { workers: 2 },
         ] {
             let out = engine
-                .try_map_with_hook_traced(
-                    (0..32u64).collect(),
+                .try_map_indexed(
+                    32,
                     |x| x,
-                    &PanicOrder(2),
-                    &Metrics::disabled(),
-                    &tracer,
-                    None,
+                    &ctx(&PanicOrder(2), &Metrics::disabled(), &tracer),
                 )
                 .expect("restartable order must recover");
             assert_eq!(out.len(), 32);
@@ -1504,61 +1268,50 @@ mod tests {
     #[test]
     fn disabled_tracer_map_matches_plain_map() {
         let items: Vec<u64> = (0..100).collect();
-        let plain = ExecutionEngine::Threaded { workers: 3 }.map(items.clone(), |x| x * x);
-        let traced = ExecutionEngine::Threaded { workers: 3 }.map_traced(
-            items,
-            |x| x * x,
-            &Metrics::disabled(),
-            &Tracer::disabled(),
-            None,
-        );
-        assert_eq!(plain, traced);
+        let engine = ExecutionEngine::Threaded { workers: 3 };
+        let plain = engine.map(items.clone(), |x| x * x);
+        let indexed = engine.map_indexed(items.len(), |i| items[i] * items[i], &TaskCtx::plain());
+        assert_eq!(plain, indexed);
     }
 
     #[test]
-    fn map_slice_borrows_and_matches_owned_map() {
+    fn borrowed_indexed_map_matches_owned_map() {
         let items: Vec<u64> = (0..300).collect();
         let owned = ExecutionEngine::Threaded { workers: 3 }.map(items.clone(), |x| x * 2 + 1);
-        let borrowed = ExecutionEngine::Threaded { workers: 3 }.map_slice(&items, |x| x * 2 + 1);
-        let sequential = ExecutionEngine::Sequential.map_slice(&items, |x| x * 2 + 1);
-        assert_eq!(owned, borrowed);
-        assert_eq!(owned, sequential);
+        for engine in ENGINES {
+            let borrowed = engine.map_indexed(items.len(), |i| items[i] * 2 + 1, &TaskCtx::plain());
+            assert_eq!(owned, borrowed, "engine {}", engine.name());
+        }
         // The input vector is untouched.
         assert_eq!(items, (0..300).collect::<Vec<u64>>());
     }
 
     #[test]
-    fn map_parts_matches_manual_sharding_bit_for_bit() {
+    fn index_parts_match_manual_sharding_bit_for_bit() {
         let items: Vec<f64> = (0..1000).map(|i| f64::from(i) * 0.37).collect();
         let part_sum = |part: &[f64]| part.iter().sum::<f64>();
         let manual: Vec<f64> = items.chunks(64).map(part_sum).collect();
-        for engine in [
-            ExecutionEngine::Sequential,
-            ExecutionEngine::Threaded { workers: 1 },
-            ExecutionEngine::Threaded { workers: 4 },
-        ] {
-            let parts = engine.map_parts(&items, 64, part_sum);
+        let part = |p: usize| &items[p * 64..items.len().min((p + 1) * 64)];
+        for engine in ENGINES {
+            let parts = engine.map_indexed(
+                items.len().div_ceil(64),
+                |p| part_sum(part(p)),
+                &TaskCtx::plain(),
+            );
             assert_eq!(parts.len(), manual.len());
             for (a, b) in parts.iter().zip(&manual) {
                 assert_eq!(a.to_bits(), b.to_bits(), "engine {}", engine.name());
             }
         }
         // Empty input yields no parts on any engine.
+        let empty: &[f64] = &[];
         assert!(ExecutionEngine::Threaded { workers: 2 }
-            .map_parts(&[] as &[f64], 64, part_sum)
+            .map_indexed(
+                empty.len().div_ceil(64),
+                |p| part_sum(&empty[p * 64..]),
+                &TaskCtx::plain(),
+            )
             .is_empty());
-    }
-
-    #[test]
-    fn map_indexed_covers_the_index_space_in_order() {
-        for engine in [
-            ExecutionEngine::Sequential,
-            ExecutionEngine::Threaded { workers: 4 },
-        ] {
-            let out = engine.map_indexed(37, |i| i * i);
-            assert_eq!(out, (0..37).map(|i| i * i).collect::<Vec<usize>>());
-            assert!(engine.map_indexed(0, |i| i).is_empty());
-        }
     }
 
     #[test]
@@ -1568,27 +1321,36 @@ mod tests {
             ExecutionEngine::Threaded { workers: 3 },
         ] {
             let ok = engine
-                .try_map_indexed_with_hook_traced(
+                .try_map_indexed(
                     64,
                     |i| i + 1,
-                    &PanicOrder(MAX_WORKER_RESTARTS),
-                    &Metrics::disabled(),
-                    &Tracer::disabled(),
-                    None,
+                    &TaskCtx {
+                        hook: &PanicOrder(MAX_WORKER_RESTARTS),
+                        ..TaskCtx::plain()
+                    },
                 )
                 .expect("restartable order must recover");
             assert_eq!(ok, (1..=64).collect::<Vec<usize>>());
             let err = engine
-                .try_map_indexed_with_hook_traced(
+                .try_map_indexed(
                     64,
                     |i| i,
-                    &PanicOrder(MAX_WORKER_RESTARTS + 1),
-                    &Metrics::disabled(),
-                    &Tracer::disabled(),
-                    None,
+                    &TaskCtx {
+                        hook: &PanicOrder(MAX_WORKER_RESTARTS + 1),
+                        ..TaskCtx::plain()
+                    },
                 )
                 .expect_err("order beyond the restart budget is fatal");
             assert!(matches!(err, EngineError::WorkerPanic(_)));
+        }
+    }
+
+    #[test]
+    fn map_indexed_covers_the_index_space_in_order() {
+        for engine in ENGINES {
+            let out = engine.map_indexed(37, |i| i * i, &TaskCtx::plain());
+            assert_eq!(out, (0..37).map(|i| i * i).collect::<Vec<usize>>());
+            assert!(engine.map_indexed(0, |i| i, &TaskCtx::plain()).is_empty());
         }
     }
 
@@ -1601,21 +1363,45 @@ mod tests {
         // count itself is just recorded as a histogram sample.
         let metrics = Metrics::collecting();
         let engine = ExecutionEngine::Threaded { workers: 2 };
-        let out = engine.map_observed(
-            (0..64u64).collect(),
+        let out = engine.map_indexed(
+            64,
             |x| {
                 if x == 0 {
                     std::thread::sleep(std::time::Duration::from_millis(10));
                 }
                 x
             },
-            &metrics,
+            &ctx(&NoFaults, &metrics, &Tracer::disabled()),
         );
         assert_eq!(out.len(), 64);
         let snap = metrics.snapshot();
         let steals = snap.histogram("engine.steal").expect("steal observed");
         assert_eq!(steals.count, 1);
         assert!(steals.sum <= snap.counter("engine.tasks") as f64);
+    }
+
+    #[test]
+    fn spawn_failure_is_a_typed_error() {
+        // Spawning is not exercised here (that would need exhausting OS
+        // threads); this pins how a spawn error reaches the caller.
+        let err =
+            EngineError::from_payload(Box::new(EngineError::WorkerSpawn("EAGAIN".to_owned())));
+        assert_eq!(err, EngineError::WorkerSpawn("EAGAIN".to_owned()));
+        assert_eq!(err.to_string(), "worker spawn failed: EAGAIN");
+        // The infallible map raises it with its message, through the panic
+        // hook, rather than re-raising a silent non-string payload.
+        let payload = panic::catch_unwind(|| {
+            ExecutionEngine::Sequential.map_indexed(
+                1,
+                |_| -> usize { panic::panic_any(EngineError::WorkerSpawn("EAGAIN".to_owned())) },
+                &TaskCtx::plain(),
+            )
+        })
+        .expect_err("spawn error must surface as a panic");
+        assert_eq!(
+            payload.downcast_ref::<String>().map(String::as_str),
+            Some("worker spawn failed: EAGAIN")
+        );
     }
 
     #[test]

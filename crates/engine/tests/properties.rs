@@ -2,7 +2,7 @@
 //! to the sequential engine on arbitrary workloads, and its span trees
 //! stay well-formed even while injected worker panics force restarts.
 
-use cdp_engine::ExecutionEngine;
+use cdp_engine::{ExecutionEngine, TaskCtx};
 use cdp_faults::{FaultInjector, FaultPlan};
 use cdp_obs::{Metrics, TraceSnapshot, Tracer};
 use proptest::prelude::*;
@@ -30,57 +30,42 @@ proptest! {
     }
 
     #[test]
-    fn map_reduce_equivalence(items in prop::collection::vec(-1e3..1e3f64, 0..100), workers in 1usize..5) {
-        // The fold runs in input order on both engines, so even
-        // non-associative floating-point accumulation matches exactly.
-        let seq = ExecutionEngine::Sequential.map_reduce(
-            items.clone(),
-            |x| x * 1.000001 - 0.5,
-            1.0f64,
-            |acc, x| acc * 0.99 + x,
-        );
-        let par = ExecutionEngine::Threaded { workers }.map_reduce(
-            items,
-            |x| x * 1.000001 - 0.5,
-            1.0f64,
-            |acc, x| acc * 0.99 + x,
-        );
-        prop_assert_eq!(seq, par);
-    }
-
-    #[test]
     fn preserves_length_and_order(n in 0usize..300, workers in 1usize..8) {
         let items: Vec<usize> = (0..n).collect();
         let out = ExecutionEngine::Threaded { workers }.map(items, |i| i);
         prop_assert_eq!(out, (0..n).collect::<Vec<usize>>());
     }
 
-    /// The borrowed variant agrees with the owning variant on both engines:
-    /// callers migrating off `to_vec` cannot observe a difference.
+    /// Owned items and borrowed items read by index agree on both engines:
+    /// callers sharding by index instead of `to_vec` cannot observe a
+    /// difference.
     #[test]
-    fn map_slice_matches_map(
+    fn borrowed_indexed_map_matches_owned_map(
         items in prop::collection::vec(0u64..1_000_000, 0..200),
         workers in 1usize..9,
     ) {
         let f = |x: u64| x.wrapping_mul(2654435761).rotate_left(13);
         let owned = ExecutionEngine::Threaded { workers }.map(items.clone(), f);
-        let seq = ExecutionEngine::Sequential.map_slice(&items, |x| f(*x));
-        let par = ExecutionEngine::Threaded { workers }.map_slice(&items, |x| f(*x));
-        prop_assert_eq!(&owned, &seq);
-        prop_assert_eq!(&owned, &par);
+        for engine in [ExecutionEngine::Sequential, ExecutionEngine::Threaded { workers }] {
+            let borrowed = engine.map_indexed(items.len(), |i| f(items[i]), &TaskCtx::plain());
+            prop_assert_eq!(&owned, &borrowed);
+        }
     }
 
-    /// `map_parts` covers the input in contiguous, in-order, non-overlapping
-    /// windows of `part_len` (last one ragged), identically on both engines.
+    /// Index parts of `part_len` cover the input in contiguous, in-order,
+    /// non-overlapping windows (last one ragged), identically on both
+    /// engines.
     #[test]
-    fn map_parts_partitions_in_order(
+    fn index_parts_partition_in_order(
         items in prop::collection::vec(-1e3..1e3f64, 0..150),
         part_len in 1usize..40,
         workers in 1usize..8,
     ) {
         let f = |part: &[f64]| (part.len(), part.iter().sum::<f64>().to_bits());
-        let seq = ExecutionEngine::Sequential.map_parts(&items, part_len, f);
-        let par = ExecutionEngine::Threaded { workers }.map_parts(&items, part_len, f);
+        let parts = items.len().div_ceil(part_len);
+        let part = |p: usize| f(&items[p * part_len..items.len().min((p + 1) * part_len)]);
+        let seq = ExecutionEngine::Sequential.map_indexed(parts, part, &TaskCtx::plain());
+        let par = ExecutionEngine::Threaded { workers }.map_indexed(parts, part, &TaskCtx::plain());
         prop_assert_eq!(&seq, &par);
 
         let expected: Vec<(usize, u64)> = items.chunks(part_len).map(f).collect();
@@ -91,15 +76,17 @@ proptest! {
         );
     }
 
-    /// `map_indexed` visits exactly `0..n` and keeps results index-ordered
-    /// regardless of which worker steals which range.
+    /// `map_indexed` and `try_map_indexed` visit exactly `0..n` and keep
+    /// results index-ordered regardless of which worker steals which range.
     #[test]
     fn map_indexed_matches_identity(n in 0usize..300, workers in 1usize..8) {
         let f = |i: usize| i.wrapping_mul(2654435761);
-        let seq = ExecutionEngine::Sequential.map_indexed(n, f);
-        let par = ExecutionEngine::Threaded { workers }.map_indexed(n, f);
+        let seq = ExecutionEngine::Sequential.map_indexed(n, f, &TaskCtx::plain());
+        let par = ExecutionEngine::Threaded { workers }.map_indexed(n, f, &TaskCtx::plain());
         prop_assert_eq!(&seq, &par);
-        prop_assert_eq!(seq, (0..n).map(f).collect::<Vec<usize>>());
+        prop_assert_eq!(&seq, &(0..n).map(f).collect::<Vec<usize>>());
+        let fallible = ExecutionEngine::Threaded { workers }.try_map_indexed(n, f, &TaskCtx::plain());
+        prop_assert_eq!(Ok(seq), fallible);
     }
 }
 
@@ -121,14 +108,13 @@ proptest! {
         let run = |engine: &ExecutionEngine| {
             let hook = FaultInjector::new(plan);
             let tracer = Tracer::collecting();
-            let out = engine.try_map_with_hook_traced(
-                (0..n as u64).collect(),
-                |x| x.wrapping_mul(2654435761),
-                &hook,
-                &Metrics::disabled(),
-                &tracer,
-                None,
-            );
+            let ctx = TaskCtx {
+                hook: &hook,
+                metrics: &Metrics::disabled(),
+                tracer: &tracer,
+                parent: None,
+            };
+            let out = engine.try_map_indexed(n, |i| (i as u64).wrapping_mul(2654435761), &ctx);
             (out, tracer.snapshot())
         };
 

@@ -13,8 +13,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use cdp_engine::{tree_reduce, EngineError, ExecutionEngine};
-use cdp_faults::FaultHook;
+use cdp_engine::{tree_reduce, EngineError, ExecutionEngine, TaskCtx};
 use cdp_linalg::DenseVector;
 use cdp_obs::{Metrics, SpanContext, Tracer};
 use cdp_storage::{LabeledPoint, RowView};
@@ -275,7 +274,8 @@ impl SgdTrainer {
     /// One mini-batch SGD iteration over `batch` (Algorithm 1, lines 3–5),
     /// computing the gradient on `engine`.
     ///
-    /// Large batches are split into [`gradient_shards`] contiguous shards
+    /// Batches of at least 1024 points are split into up to eight
+    /// contiguous shards (512 or more points each; see `gradient_shards`)
     /// whose sparse partial gradients are combined with a fixed-shape
     /// [`tree_reduce`]; because the shard structure depends only on the
     /// batch size, every engine produces bit-identical weights. Small
@@ -366,22 +366,24 @@ impl SgdTrainer {
             let shard_len = batch.len().div_ceil(shards);
             let model = &self.model;
             let scratch = &self.scratch;
-            // Shards borrow contiguous ranges of the batch directly — no
-            // per-shard `Vec` of point refs — and accumulate into recycled
-            // scratch runs rather than freshly allocated ones.
-            let parts = engine.map_parts_traced(
-                batch,
-                shard_len,
-                |shard: &[RowView<'_>]| {
+            // Shards borrow contiguous index ranges of the batch directly —
+            // no per-shard `Vec` of point refs — and accumulate into
+            // recycled scratch runs rather than freshly allocated ones.
+            let parts = engine.map_indexed(
+                batch.len().div_ceil(shard_len),
+                |p| {
                     let mut source = SourceGrad::new(scratch.acquire());
-                    for row in shard {
+                    for row in &batch[p * shard_len..batch.len().min((p + 1) * shard_len)] {
                         source.add(model, *row, inv_batch);
                     }
                     source.finish()
                 },
-                metrics,
-                tracer,
-                step_span.context(),
+                &TaskCtx {
+                    metrics,
+                    tracer,
+                    parent: step_span.context(),
+                    ..TaskCtx::plain()
+                },
             );
             match SourceGrad::reduce(parts, scratch) {
                 Some(source) => source,
@@ -396,41 +398,14 @@ impl SgdTrainer {
     }
 
     /// Consumes a stream chunk once, in mini-batches of `batch_size` — the
-    /// platform's *online learning* path.
+    /// platform's *online learning* path — over zero-copy columnar row
+    /// views, so the store's chunks stream straight into mini-batches
+    /// without ever reconstructing a `LabeledPoint` per row. Gradients are
+    /// computed on `engine` (only batches of ≥ 1024 rows actually shard —
+    /// see [`SgdTrainer::step_on`]).
     ///
     /// Returns the mean pre-update loss over the chunk, or `None` when the
     /// chunk is empty.
-    pub fn online_pass(&mut self, points: &[LabeledPoint], batch_size: usize) -> Option<f64> {
-        self.online_pass_on(points, batch_size, ExecutionEngine::Sequential)
-    }
-
-    /// [`SgdTrainer::online_pass`] with gradient computation on `engine`
-    /// (only batches of ≥ 512 points actually shard — see
-    /// [`SgdTrainer::step_on`]).
-    pub fn online_pass_on(
-        &mut self,
-        points: &[LabeledPoint],
-        batch_size: usize,
-        engine: ExecutionEngine,
-    ) -> Option<f64> {
-        if points.is_empty() {
-            return None;
-        }
-        let batch_size = batch_size.max(1);
-        let mut total = 0.0;
-        let mut count = 0usize;
-        for batch in points.chunks(batch_size) {
-            if let Some(loss) = self.step_on(batch.iter(), engine) {
-                total += loss * batch.len() as f64;
-                count += batch.len();
-            }
-        }
-        (count > 0).then(|| total / count as f64)
-    }
-
-    /// [`SgdTrainer::online_pass_on`] over zero-copy columnar row views —
-    /// the store's chunks stream straight into mini-batches without ever
-    /// reconstructing a `LabeledPoint` per row.
     pub fn online_pass_rows(
         &mut self,
         rows: &[RowView<'_>],
@@ -590,18 +565,20 @@ impl SgdTrainer {
         let model = &self.model;
         let shards = gradient_shards(data.len());
         let shard_len = data.len().div_ceil(shards);
-        let sums: Vec<f64> = engine.map_parts_traced(
-            data,
-            shard_len,
-            |shard| {
-                shard
+        let sums: Vec<f64> = engine.map_indexed(
+            data.len().div_ceil(shard_len),
+            |s| {
+                data[s * shard_len..data.len().min((s + 1) * shard_len)]
                     .iter()
                     .map(|p| loss.value(model.margin_ref(&p.features), p.label))
                     .sum::<f64>()
             },
-            metrics,
-            tracer,
-            parent,
+            &TaskCtx {
+                metrics,
+                tracer,
+                parent,
+                ..TaskCtx::plain()
+            },
         );
         let mean = tree_reduce(sums, |a, b| a + b).unwrap_or(0.0) / data.len() as f64;
         mean + self.regularizer.penalty(self.model.weights())
@@ -627,20 +604,21 @@ impl SgdTrainer {
     /// only after the reduce. The result therefore depends on the source
     /// contents and order alone — never on worker count or steal schedule.
     ///
+    /// The engine call runs under `ctx`: its hook may inject worker faults,
+    /// and a `trainer.step` span under `ctx.parent` parents the
+    /// `engine.map`.
+    ///
     /// # Errors
-    /// Propagates [`EngineError`] when `hook` injects a fatal worker panic
-    /// (after the engine's restart-once recovery is exhausted). The model is
-    /// untouched in that case.
-    #[allow(clippy::too_many_arguments)]
+    /// Propagates [`EngineError`] when `ctx.hook` injects a fatal worker
+    /// panic (after the engine's restart-once recovery is exhausted) or the
+    /// worker pool could not be spawned. The model is untouched in either
+    /// case.
     pub fn try_step_fused_on<A>(
         &mut self,
         n_sources: usize,
         access: A,
         engine: ExecutionEngine,
-        hook: &dyn FaultHook,
-        metrics: &Metrics,
-        tracer: &Tracer,
-        parent: Option<SpanContext>,
+        ctx: &TaskCtx<'_>,
     ) -> Result<FusedStepOutcome, EngineError>
     where
         A: Fn(usize, &mut dyn FnMut(RowView<'_>)) + Sync,
@@ -651,20 +629,20 @@ impl SgdTrainer {
                 points: 0,
             });
         }
-        let step_span = tracer.child_of("trainer.step", parent);
+        let step_span = ctx.tracer.child_of("trainer.step", ctx.parent);
         let model = &self.model;
         let scratch = &self.scratch;
-        let parts = engine.try_map_indexed_with_hook_traced(
+        let parts = engine.try_map_indexed(
             n_sources,
             |i| {
                 let mut source = SourceGrad::new(scratch.acquire());
                 access(i, &mut |row: RowView<'_>| source.add(model, row, 1.0));
                 source.finish()
             },
-            hook,
-            metrics,
-            tracer,
-            step_span.context(),
+            &TaskCtx {
+                parent: step_span.context(),
+                ..*ctx
+            },
         )?;
         let source = match SourceGrad::reduce(parts, scratch) {
             Some(source) => source,
@@ -746,6 +724,11 @@ mod tests {
             .collect()
     }
 
+    /// Points as the row views the online path consumes.
+    fn point_rows(points: &[LabeledPoint]) -> Vec<RowView<'_>> {
+        points.iter().map(RowView::Point).collect()
+    }
+
     /// y = 3·x1 − 2·x2 + 1 with small noise.
     fn linear_data(n: usize, seed: u64) -> Vec<LabeledPoint> {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -812,7 +795,10 @@ mod tests {
         let mut trainer = SgdTrainer::new(3, &config);
         assert_eq!(trainer.step(std::iter::empty()), None);
         assert_eq!(trainer.steps(), 0);
-        assert_eq!(trainer.online_pass(&[], 8), None);
+        assert_eq!(
+            trainer.online_pass_rows(&[], 8, ExecutionEngine::Sequential),
+            None
+        );
     }
 
     #[test]
@@ -823,7 +809,7 @@ mod tests {
         trainer.step(data.iter().take(10));
         assert_eq!(trainer.steps(), 1);
         assert_eq!(trainer.points_seen(), 10);
-        trainer.online_pass(&data, 8);
+        trainer.online_pass_rows(&point_rows(&data), 8, ExecutionEngine::Sequential);
         assert_eq!(trainer.steps(), 1 + 4);
         assert_eq!(trainer.points_seen(), 10 + 32);
     }
@@ -973,7 +959,7 @@ mod tests {
         let data = blobs(3000, 13);
         let config = make_config(LossKind::Hinge);
         let mut trainer = SgdTrainer::new(3, &config);
-        trainer.online_pass(&data[..200], 32);
+        trainer.online_pass_rows(&point_rows(&data[..200]), 32, ExecutionEngine::Sequential);
         let seq = trainer.objective_on(&data, ExecutionEngine::Sequential);
         for workers in [1, 2, 5] {
             let thr = trainer.objective_on(&data, ExecutionEngine::Threaded { workers });
@@ -987,7 +973,6 @@ mod tests {
 
     #[test]
     fn fused_step_is_bit_identical_across_engines_and_reuses_scratch() {
-        use cdp_faults::NoFaults;
         let data = blobs(2000, 21);
         let config = make_config(LossKind::Logistic);
         let chunks: Vec<&[LabeledPoint]> = data.chunks(250).collect();
@@ -999,26 +984,10 @@ mod tests {
         let run = |engine: ExecutionEngine| {
             let mut t = SgdTrainer::new(3, &config);
             let first = t
-                .try_step_fused_on(
-                    chunks.len(),
-                    access,
-                    engine,
-                    &NoFaults,
-                    &Metrics::disabled(),
-                    &Tracer::disabled(),
-                    None,
-                )
+                .try_step_fused_on(chunks.len(), access, engine, &TaskCtx::plain())
                 .unwrap();
             let second = t
-                .try_step_fused_on(
-                    chunks.len(),
-                    access,
-                    engine,
-                    &NoFaults,
-                    &Metrics::disabled(),
-                    &Tracer::disabled(),
-                    None,
-                )
+                .try_step_fused_on(chunks.len(), access, engine, &TaskCtx::plain())
                 .unwrap();
             (t, first, second)
         };
@@ -1047,15 +1016,7 @@ mod tests {
         // Zero sources and all-empty sources are no-ops.
         let mut t = SgdTrainer::new(3, &config);
         let out = t
-            .try_step_fused_on(
-                0,
-                |_, _| {},
-                ExecutionEngine::Sequential,
-                &NoFaults,
-                &Metrics::disabled(),
-                &Tracer::disabled(),
-                None,
-            )
+            .try_step_fused_on(0, |_, _| {}, ExecutionEngine::Sequential, &TaskCtx::plain())
             .unwrap();
         assert_eq!(
             out,
@@ -1065,15 +1026,7 @@ mod tests {
             }
         );
         let out = t
-            .try_step_fused_on(
-                3,
-                |_, _| {},
-                ExecutionEngine::Sequential,
-                &NoFaults,
-                &Metrics::disabled(),
-                &Tracer::disabled(),
-                None,
-            )
+            .try_step_fused_on(3, |_, _| {}, ExecutionEngine::Sequential, &TaskCtx::plain())
             .unwrap();
         assert_eq!(
             out,
@@ -1087,7 +1040,6 @@ mod tests {
 
     #[test]
     fn fused_step_grows_the_model_only_after_the_reduce() {
-        use cdp_faults::NoFaults;
         let config = make_config(LossKind::Hinge);
         // Sources of different widths: the widest row wins, and the model
         // reaches it only after the deterministic combine.
@@ -1107,10 +1059,7 @@ mod tests {
                     }
                 },
                 ExecutionEngine::Threaded { workers: 2 },
-                &NoFaults,
-                &Metrics::disabled(),
-                &Tracer::disabled(),
-                None,
+                &TaskCtx::plain(),
             )
             .unwrap();
         assert_eq!(out.points, 2);

@@ -72,7 +72,7 @@ pub struct Metrics(Option<Arc<Registry>>);
 
 impl Metrics {
     /// The disabled handle: every operation is a no-op.
-    pub fn disabled() -> Self {
+    pub const fn disabled() -> Self {
         Self(None)
     }
 

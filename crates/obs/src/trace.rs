@@ -121,7 +121,7 @@ pub struct Tracer(Option<Arc<TraceBuffer>>);
 
 impl Tracer {
     /// The disabled handle: every operation is a no-op.
-    pub fn disabled() -> Self {
+    pub const fn disabled() -> Self {
         Self(None)
     }
 

@@ -18,8 +18,9 @@
 //!   unchanged — compaction only collapses allocations.
 //! * **Generation-based GC**: every reclamation — feature-budget eviction,
 //!   raw-budget trimming, budget shrink — runs through one collector
-//!   ([`ChunkStore::collect`]). Each collection that frees anything advances
-//!   the store's generation and is counted in [`StoreStats::gc_runs`];
+//!   (the private `ChunkStore::collect`). Each collection that frees
+//!   anything advances the store's generation and is counted in
+//!   [`StoreStats::gc_runs`];
 //!   every reclaimed chunk is counted in `evictions`/`bytes_evicted` and
 //!   returned to the caller so the tiered store can spill it and emit the
 //!   matching lineage event. Eviction order stays strictly

@@ -9,10 +9,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use cdpipe::engine::ExecutionEngine;
-use cdpipe::faults::NoFaults;
+use cdpipe::engine::{ExecutionEngine, TaskCtx};
 use cdpipe::ml::{LossKind, SgdConfig, SgdTrainer};
-use cdpipe::obs::{Metrics, Tracer};
 use cdpipe::pipeline::encode::DenseEncoder;
 use cdpipe::pipeline::parser::SchemaParser;
 use cdpipe::pipeline::scale::StandardScaler;
@@ -130,10 +128,7 @@ fn fused_step_allocates_less_than_materialize_then_step() {
                     local.transform_chunk_fold(&raws[i], &mut |p| sink(RowView::Point(p)));
                 },
                 engine,
-                &NoFaults,
-                &Metrics::disabled(),
-                &Tracer::disabled(),
-                None,
+                &TaskCtx::plain(),
             )
             .expect("fused step")
     });
@@ -168,10 +163,7 @@ fn fused_step_allocates_less_than_materialize_then_step() {
                         local.transform_chunk_fold(&raws[i], &mut |p| sink(RowView::Point(p)));
                     },
                     engine,
-                    &NoFaults,
-                    &Metrics::disabled(),
-                    &Tracer::disabled(),
-                    None,
+                    &TaskCtx::plain(),
                 )
                 .expect("warm fused step")
         })

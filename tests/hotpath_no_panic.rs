@@ -1,8 +1,9 @@
-//! Source-level gate for the deployment hot path: every `cdp-ml` module
-//! (the SGD inner loop, its gradient accumulator, optimizer, regularizer,
-//! losses and the linear model; `lib.rs` only declares them), the sparse
-//! kernel, the durable-segment primitive and the checkpoint codec must not
-//! carry `.unwrap()` / `.expect(` outside their test modules. A panic
+//! Source-level gate for the deployment hot path: the execution engine,
+//! every `cdp-ml` module (the SGD inner loop, its gradient accumulator,
+//! optimizer, regularizer, losses and the linear model; `lib.rs` only
+//! declares them), the sparse kernel, the durable-segment primitive and
+//! the checkpoint codec must not carry `.unwrap()` / `.expect(` outside
+//! their test modules. A panic
 //! annotation in these files is a latent crash in the deployment loop;
 //! invariants that are genuinely unreachable are written as
 //! `match`/`unreachable!` with a comment explaining why, so the gate also
@@ -16,6 +17,10 @@ fn non_test_region(source: &str) -> &str {
 #[test]
 fn sgd_and_sparse_hot_paths_carry_no_panic_annotations() {
     let gated = [
+        (
+            "crates/engine/src/lib.rs",
+            include_str!("../crates/engine/src/lib.rs"),
+        ),
         (
             "crates/ml/src/sgd.rs",
             include_str!("../crates/ml/src/sgd.rs"),

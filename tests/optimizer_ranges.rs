@@ -11,13 +11,11 @@
 //! proactive step on a model wider than one range, threaded against
 //! sequential.
 
-use cdpipe::engine::ExecutionEngine;
-use cdpipe::faults::NoFaults;
+use cdpipe::engine::{ExecutionEngine, TaskCtx};
 use cdpipe::linalg::{DenseVector, SparseVector, Vector};
 use cdpipe::ml::{
     AdaptiveRate, LossKind, OptimizerKind, OptimizerState, Regularizer, SgdConfig, SgdTrainer,
 };
-use cdpipe::obs::{Metrics, Tracer};
 use cdpipe::storage::{LabeledPoint, RowView};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -256,10 +254,7 @@ fn train(kind: OptimizerKind, regularizer: Regularizer, engine: ExecutionEngine)
                     }
                 },
                 engine,
-                &NoFaults,
-                &Metrics::disabled(),
-                &Tracer::disabled(),
-                None,
+                &TaskCtx::plain(),
             )
             .expect("no faults injected");
         losses.push(out.loss);

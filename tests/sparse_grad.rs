@@ -9,11 +9,9 @@
 //! sharded and fused steps and compares weights, both optimizer moments,
 //! `steps`, `points_seen` and every returned loss by `to_bits`.
 
-use cdpipe::engine::{tree_reduce, ExecutionEngine};
-use cdpipe::faults::NoFaults;
+use cdpipe::engine::{tree_reduce, ExecutionEngine, TaskCtx};
 use cdpipe::linalg::{DenseVector, SparseVector, Vector};
 use cdpipe::ml::{Loss, LossKind, OptimizerKind, Regularizer, SgdConfig, SgdTrainer};
-use cdpipe::obs::{Metrics, Tracer};
 use cdpipe::storage::{FeatureChunk, LabeledPoint, RowView, Timestamp};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -410,10 +408,7 @@ fn fused_step(
                 }
             },
             engine,
-            &NoFaults,
-            &Metrics::disabled(),
-            &Tracer::disabled(),
-            None,
+            &TaskCtx::plain(),
         )
         .expect("no faults injected");
     (out.loss, out.points)
